@@ -2,6 +2,7 @@ package ctrlsys
 
 import (
 	"math/bits"
+	"sync"
 
 	"bgcnk/internal/cnk"
 	"bgcnk/internal/collective"
@@ -116,10 +117,34 @@ func SimulateBoot(cfg BootConfig) BootResult {
 	return r
 }
 
-// kernelBootInstr asks the kernel models themselves what node-local boot
-// costs, so the protocol model can never drift from the kernels it boots.
+// bootProbes memoizes probeBootInstr for its three distinct cases: CNK,
+// FWK and stripped FWK. The probe is a pure function of its arguments but
+// builds a whole chip and kernel, and drains call it on every partition
+// boot from several workers at once.
+var bootProbes = [3]func() uint64{
+	sync.OnceValue(func() uint64 { return probeBootInstr(machine.KindCNK, false) }),
+	sync.OnceValue(func() uint64 { return probeBootInstr(machine.KindFWK, false) }),
+	sync.OnceValue(func() uint64 { return probeBootInstr(machine.KindFWK, true) }),
+}
+
+// kernelBootInstr returns the node-local boot instruction count of a
+// kernel. CNK has no stripped build, so stripped matters only for an FWK.
 func kernelBootInstr(kind machine.KernelKind, stripped bool) uint64 {
+	switch {
+	case kind == machine.KindCNK:
+		return bootProbes[0]()
+	case stripped:
+		return bootProbes[2]()
+	default:
+		return bootProbes[1]()
+	}
+}
+
+// probeBootInstr asks the kernel models themselves what node-local boot
+// costs, so the protocol model can never drift from the kernels it boots.
+func probeBootInstr(kind machine.KernelKind, stripped bool) uint64 {
 	eng := sim.NewEngine()
+	defer eng.Shutdown()
 	chip := hw.NewChip(hw.ChipConfig{ID: 0})
 	if kind == machine.KindCNK {
 		k := cnk.New(eng, chip, cnk.Config{})

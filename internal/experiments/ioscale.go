@@ -28,8 +28,8 @@ import (
 const (
 	ioscaleChunk    = 1024 // bytes per write
 	ioscaleWrites   = 12   // writes per compute node
-	ioscaleQueue    = 16  // ingress credits per ION
-	ioscaleCacheBlk = 512 // cache blocks per ION (the ION runs Linux: a real page cache)
+	ioscaleQueue    = 16   // ingress credits per ION
+	ioscaleCacheBlk = 512  // cache blocks per ION (the ION runs Linux: a real page cache)
 )
 
 // ioscaleApp is the per-rank workload: stream chunks into a private file

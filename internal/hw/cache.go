@@ -39,24 +39,29 @@ const (
 	EvDDRUncorrectable
 )
 
-type cacheSet struct {
-	tags   []uint64
-	valid  []bool
-	victim int // round-robin, as on the real part — deterministic
-}
+// setWays is the associativity of cacheSet. Both levels share the set
+// type, so both must be 16-way; the two declarations below fail to compile
+// otherwise (a constant index out of range).
+const setWays = 16
 
-func newCacheArray(sets, ways int) []cacheSet {
-	a := make([]cacheSet, sets)
-	for i := range a {
-		a[i] = cacheSet{tags: make([]uint64, ways), valid: make([]bool, ways)}
-	}
-	return a
+var (
+	_ = [1]struct{}{}[L1Ways-setWays]
+	_ = [1]struct{}{}[L3Ways-setWays]
+)
+
+// cacheSet is one set of a tag array. It holds no pointers, and its zero
+// value is an all-invalid set with victim 0, so untouched sets need no
+// initialization.
+type cacheSet struct {
+	tags   [setWays]uint64
+	valid  uint16 // bit i: way i holds tags[i]
+	victim uint8  // round-robin, as on the real part — deterministic
 }
 
 // hit probes without filling.
 func (s *cacheSet) hit(tag uint64) bool {
-	for i, t := range s.tags {
-		if s.valid[i] && t == tag {
+	for i := range s.tags {
+		if s.valid&(1<<i) != 0 && s.tags[i] == tag {
 			return true
 		}
 	}
@@ -69,17 +74,18 @@ func (s *cacheSet) access(tag uint64) bool {
 		return true
 	}
 	s.tags[s.victim] = tag
-	s.valid[s.victim] = true
-	s.victim = (s.victim + 1) % len(s.tags)
+	s.valid |= 1 << s.victim
+	s.victim = (s.victim + 1) % setWays
 	return false
 }
 
-func (s *cacheSet) invalidateAll() {
-	for i := range s.valid {
-		s.valid[i] = false
-	}
-	s.victim = 0
-}
+// l3PageSets is the L3 allocation granule, in sets. A chip's L3 is a
+// table of pages allocated on first touch: most runs touch a small part
+// of the 8MB array, and an untouched set is indistinguishable from an
+// all-invalid one.
+const l3PageSets = 64
+
+type l3Page [l3PageSets]cacheSet
 
 // CacheSim is the chip's memory-hierarchy cost model: private L1 per core,
 // a shared 8MB L3, and DDR with a refresh window. It is a deterministic
@@ -109,8 +115,8 @@ const (
 )
 
 type CacheSim struct {
-	l1 [][]cacheSet // per core
-	l3 []cacheSet
+	l1 [][L1Sets]cacheSet // per core
+	l3 [L3Sets / l3PageSets]*l3Page
 
 	// l3map is the configured bank mapping (a chip design parameter).
 	l3map L3Mapping
@@ -142,15 +148,11 @@ type CacheSim struct {
 // NewCacheSim builds the hierarchy for a chip with cores cores.
 func NewCacheSim(cores int) *CacheSim {
 	cs := &CacheSim{
-		l1:          make([][]cacheSet, cores),
-		l3:          newCacheArray(L3Sets, L3Ways),
+		l1:          make([][L1Sets]cacheSet, cores),
 		parityArm:   make([]bool, cores),
 		L1Hits:      make([]uint64, cores),
 		L1Misses:    make([]uint64, cores),
 		StoreMisses: make([]uint64, cores),
-	}
-	for i := range cs.l1 {
-		cs.l1[i] = newCacheArray(L1Sets, L1Ways)
 	}
 	return cs
 }
@@ -169,6 +171,18 @@ func (cs *CacheSim) l3index(l3line uint64) uint64 {
 		l3line ^= l3line >> 24
 	}
 	return l3line % L3Sets
+}
+
+// l3set returns the L3 set l3line maps to, allocating its page on first
+// touch.
+func (cs *CacheSim) l3set(l3line uint64) *cacheSet {
+	i := cs.l3index(l3line)
+	p := cs.l3[i/l3PageSets]
+	if p == nil {
+		p = new(l3Page)
+		cs.l3[i/l3PageSets] = p
+	}
+	return &p[i%l3PageSets]
 }
 
 // ArmL1Parity makes core's next L1 access raise EvL1Parity.
@@ -210,7 +224,7 @@ func (cs *CacheSim) Access(core int, pa PAddr, size uint32, write bool, now sim.
 				u.Inc(core, upc.StoreMiss)
 			}
 			l3line := addr / L3LineSize
-			cs.l3[cs.l3index(l3line)].access(l3line)
+			cs.l3set(l3line).access(l3line)
 			cost += CostStoreMiss
 			continue
 		}
@@ -220,8 +234,7 @@ func (cs *CacheSim) Access(core int, pa PAddr, size uint32, write bool, now sim.
 		}
 		set.access(line) // allocate on load miss
 		l3line := addr / L3LineSize
-		l3set := &cs.l3[cs.l3index(l3line)]
-		if l3set.access(l3line) {
+		if cs.l3set(l3line).access(l3line) {
 			cs.L3Hits++
 			if u != nil {
 				u.Inc(upc.ChipScope, upc.L3Hit)
@@ -276,22 +289,16 @@ func (cs *CacheSim) ResetRefreshPhase(now sim.Cycles) { cs.refreshBase = now }
 // FlushAll writes back and invalidates every level, as CNK does before
 // putting DDR in self-refresh for a reproducible reset.
 func (cs *CacheSim) FlushAll() {
-	for _, l1 := range cs.l1 {
-		for i := range l1 {
-			l1[i].invalidateAll()
+	clear(cs.l1)
+	for _, p := range cs.l3 {
+		if p != nil {
+			*p = l3Page{}
 		}
-	}
-	for i := range cs.l3 {
-		cs.l3[i].invalidateAll()
 	}
 }
 
 // FlushCore invalidates one core's L1.
-func (cs *CacheSim) FlushCore(core int) {
-	for i := range cs.l1[core] {
-		cs.l1[core][i].invalidateAll()
-	}
-}
+func (cs *CacheSim) FlushCore(core int) { cs.l1[core] = [L1Sets]cacheSet{} }
 
 func (cs *CacheSim) reset() {
 	cs.FlushAll()

@@ -6,8 +6,10 @@ import (
 	"bgcnk/internal/upc"
 )
 
-// memChunk is the sparse-allocation granule for DDR contents.
-const memChunk = 64 << 10
+// memChunk is the sparse-allocation granule for DDR contents. It is a
+// host-side choice with no architectural meaning; a small granule keeps
+// sparse writes from allocating and clearing memory they never use.
+const memChunk = 4 << 10
 
 // Memory models node DDR: a sparse byte store plus the self-refresh state
 // machine used by CNK's reproducible-reset protocol (paper Section III).

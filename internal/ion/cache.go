@@ -171,23 +171,31 @@ func (ca *Cache) Flush(co *sim.Coro, ino uint64) {
 		return
 	}
 	sz := ca.Size(ino)
-	run := []blockKey{dirty[0]}
-	emit := func() {
-		ca.writeRun(co, run, sz)
-		if len(run) > 1 {
-			ca.ctr.Add(upc.ChipScope, upc.IONCoalesce, uint64(len(run)-1))
-		}
-	}
-	for _, k := range dirty[1:] {
-		if k.idx == run[len(run)-1].idx+1 {
-			run = append(run, k)
+	for i := 0; i < len(dirty); {
+		// Cut each run only when it is due: while the previous run's
+		// writeback slept, another coroutine's eviction may have written
+		// back and dropped some of these blocks, which are durable now.
+		if !ca.dirtyCached(dirty[i]) {
+			i++
 			continue
 		}
-		emit()
-		run = []blockKey{k}
+		j := i + 1
+		for j < len(dirty) && dirty[j].idx == dirty[j-1].idx+1 && ca.dirtyCached(dirty[j]) {
+			j++
+		}
+		ca.writeRun(co, dirty[i:j], sz)
+		if j-i > 1 {
+			ca.ctr.Add(upc.ChipScope, upc.IONCoalesce, uint64(j-i-1))
+		}
+		i = j
 	}
-	emit()
 	ca.ctr.Inc(upc.ChipScope, upc.IONFlush)
+}
+
+// dirtyCached reports whether key is cached and dirty.
+func (ca *Cache) dirtyCached(key blockKey) bool {
+	b := ca.blocks[key]
+	return b != nil && b.dirty
 }
 
 // writeRun writes one contiguous dirty run (trimmed to the effective
@@ -271,18 +279,30 @@ func (ca *Cache) touch(co *sim.Coro, ino, idx uint64) *block {
 		return b
 	}
 	ca.ctr.Inc(upc.ChipScope, upc.IONCacheMiss)
+	if co != nil {
+		co.Sleep(costFill)
+		if b, ok := ca.blocks[key]; ok {
+			// Another coroutine filled the block while this fill slept,
+			// and may have written it since: its copy is the live one.
+			ca.unlink(b)
+			ca.pushFront(b)
+			return b
+		}
+	}
 	data, errno := ca.fsys.ReadInode(ino, idx*BlockSize, BlockSize)
 	if errno != kernel.OK {
 		panic("ion: fill from unknown inode")
 	}
 	b := &block{key: key, data: append(data, make([]byte, BlockSize-len(data))...)}
-	if co != nil {
-		co.Sleep(costFill)
-	}
 	ca.blocks[key] = b
 	ca.pushFront(b)
 	for len(ca.blocks) > ca.cap {
 		ca.evict(co)
+	}
+	if ca.blocks[key] != b {
+		// Another coroutine evicted b while an eviction here slept on
+		// its writeback; a write into b now would be lost. Fetch again.
+		return ca.touch(co, ino, idx)
 	}
 	return b
 }
@@ -295,6 +315,12 @@ func (ca *Cache) evict(co *sim.Coro) {
 	}
 	if v.dirty {
 		ca.writeRun(co, []blockKey{v.key}, ca.Size(v.key.ino))
+		// The writeback slept. If v was written again meanwhile it is no
+		// longer the LRU block, and dropping it would lose that write; if
+		// another coroutine evicted it, its key may name a newer block.
+		if v.dirty || ca.blocks[v.key] != v {
+			return
+		}
 	}
 	ca.unlink(v)
 	delete(ca.blocks, v.key)

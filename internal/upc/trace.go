@@ -13,12 +13,12 @@ type Category uint16
 
 // Tracepoint categories.
 const (
-	CatSched Category = 1 << iota // context switches, preemption, daemons
-	CatIRQ                        // ticks, IPIs
-	CatSyscall                    // syscall entry
-	CatMem                        // TLB refills, page faults
-	CatNet                        // torus + collective traffic
-	CatIO                         // function-ship calls
+	CatSched   Category = 1 << iota // context switches, preemption, daemons
+	CatIRQ                          // ticks, IPIs
+	CatSyscall                      // syscall entry
+	CatMem                          // TLB refills, page faults
+	CatNet                          // torus + collective traffic
+	CatIO                           // function-ship calls
 
 	// CatAll enables every category.
 	CatAll Category = 0xffff
@@ -119,9 +119,8 @@ func (r *Ring) Emit(ev Event, core int, cycle sim.Cycles, arg uint64) {
 	if r.mask&eventCats[ev] == 0 {
 		return
 	}
-	if r.buf == nil {
-		r.buf = make([]Point, 0, RingCap)
-	}
+	// The buffer grows on demand up to RingCap: most traced runs record
+	// far fewer points than the cap.
 	p := Point{Event: ev, Core: int8(core), Cycle: cycle, Arg: arg}
 	if len(r.buf) < RingCap {
 		r.buf = append(r.buf, p)

@@ -1,5 +1,5 @@
 #!/bin/sh
-# CI gate: vet, build, the full test suite under the race detector, the
+# CI gate: vet, gofmt, build, the full test suite under the race detector, the
 # fuzz seed-corpus regressions, and a short live fuzz pass on each fuzz
 # target. Run from the repository root:
 #
@@ -12,6 +12,14 @@ FUZZTIME="${FUZZTIME:-10s}"
 
 echo "== go vet"
 go vet ./...
+
+echo "== gofmt"
+unformatted="$(find . -path ./.bench_build -prune -o -name '*.go' -print | xargs gofmt -l)"
+if [ -n "$unformatted" ]; then
+	echo "gofmt -l flags these files:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 
 echo "== go build"
 go build ./...
