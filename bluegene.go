@@ -392,13 +392,21 @@ type JournalStats = ctrlsys.JournalStats
 // RecoveryReport describes one journal replay + reconciliation pass.
 type RecoveryReport = ctrlsys.RecoveryReport
 
-// ControlStore is the service node's durable store (ServiceNode.Store);
-// it survives the node and is what RecoverServiceNode replays from.
+// ControlStore is the service node's durable store (ServiceNode.Store,
+// never nil; it holds a journal only when ControlConfig.Journal is
+// armed); it survives the node and is what RecoverServiceNode replays
+// from. ServiceNode.ControlLog, the control-plane RAS log, is never nil
+// either.
 type ControlStore = fs.FS
 
 // ErrServiceNodeCrash is wrapped into DrainResult.Errs for jobs lost to
 // a service-node crash with journaling off; test with errors.Is.
 var ErrServiceNodeCrash = ctrlsys.ErrServiceNodeCrash
+
+// ErrQueueMismatch is returned by Drain when a journaled node (or one
+// RecoverServiceNode built) is handed a queue that differs from its
+// journaled submissions under the same job IDs; test with errors.Is.
+var ErrQueueMismatch = ctrlsys.ErrQueueMismatch
 
 // RecoverServiceNode rebuilds a service node from a dead node's control
 // store by journal replay, reconciling against any still-live partitions

@@ -54,13 +54,14 @@ func TestBarrierReusable(t *testing.T) {
 
 func TestDoubleEnterPanics(t *testing.T) {
 	eng := sim.NewEngine()
+	defer eng.Shutdown() // p is still parked in Enter
 	b := New(eng, 2, 10)
 	panicked := false
 	eng.Go("p", func(c *sim.Coro) {
 		defer func() {
-			if recover() != nil {
+			if r := recover(); r != nil {
 				panicked = true
-				panic("rethrow") // keep coroutine unwinding
+				panic(r) // keep coroutine unwinding (Shutdown's kill included)
 			}
 		}()
 		b.Enter(c, 0)

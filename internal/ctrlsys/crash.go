@@ -22,6 +22,12 @@ import (
 // under them.
 var ErrServiceNodeCrash = errors.New("ctrlsys: service node crashed")
 
+// ErrQueueMismatch is returned (wrapped, with the job named) by Drain when
+// the presented queue disagrees with a job the journal already holds a
+// submit record for under the same ID. Replay would otherwise hand back
+// the journaled job's results for a different job.
+var ErrQueueMismatch = errors.New("ctrlsys: queue does not match the journaled submissions")
+
 // Control-plane cost model, in simulated cycles on the service node's
 // clock: appending one journal record, noticing a dead service node, and
 // replaying a journal of a given size. These feed CrashStats and the
@@ -70,7 +76,10 @@ type JournalStats struct {
 // world is the state that survives a service-node death: the control
 // store (and the journal on it), the crash injector whose generation
 // counts deaths, the control-plane RAS log, and the modelled control
-// clock. ServiceNode incarnations come and go; the world persists.
+// clock. ServiceNode incarnations come and go; the world persists. Every
+// node has one: a nil jn is the no-op journal (records are counted for
+// the crash injector's LSNs but never built or stored), and a nil crash
+// plan never fires.
 type world struct {
 	store *fs.FS
 	jn    *wal.Journal
@@ -105,34 +114,31 @@ func newWorld(cfg Config) *world {
 
 // Store exposes the service node's control store — the filesystem holding
 // the journal — so a successor incarnation can be built over it with
-// Recover. Nil when neither journaling nor crash injection is armed.
-func (s *ServiceNode) Store() *fs.FS {
-	if s.w == nil {
-		return nil
-	}
-	return s.w.store
-}
+// Recover. Never nil; it holds no journal unless Config.Journal is armed.
+func (s *ServiceNode) Store() *fs.FS { return s.w.store }
 
 // ControlLog returns the control-plane RAS log (service crashes and
-// recoveries); nil when the crash-only machinery is unarmed.
-func (s *ServiceNode) ControlLog() *ras.Log {
-	if s.w == nil {
-		return nil
-	}
-	return s.w.log
-}
+// recoveries). Never nil; it stays empty unless Config.Crashes is armed.
+func (s *ServiceNode) ControlLog() *ras.Log { return s.w.log }
 
 // appendRec is the single gate every scheduler state transition passes
 // through: consult the crash injector at the record's LSN, then make the
 // record durable. A firing injector decides how much of the record
 // survives — nothing (pre-append), all of it (post-append: durable but
 // never applied in memory), or a torn prefix (mid-checkpoint-commit) —
-// logs the death, and returns ErrServiceNodeCrash.
-func (s *ServiceNode) appendRec(kind uint8, body []byte, site ras.CrashSite) error {
+// logs the death, and returns ErrServiceNodeCrash. body builds the record
+// body (nil for an empty one); it is called only when a journal will
+// store the record, since the LSN the injector keys on does not depend
+// on it.
+func (s *ServiceNode) appendRec(kind uint8, body func() []byte, site ras.CrashSite) error {
 	w := s.w
 	lsn := w.vlsn + 1
+	var b []byte
 	if w.jn != nil {
 		lsn = w.jn.NextLSN()
+		if body != nil {
+			b = body()
+		}
 	}
 	if class, died := w.inj.At(lsn, site); died {
 		if w.jn != nil {
@@ -140,13 +146,13 @@ func (s *ServiceNode) appendRec(kind uint8, body []byte, site ras.CrashSite) err
 			case ras.CrashPreAppend:
 				// The record never reached the store.
 			case ras.CrashMidCkptCommit:
-				if err := w.jn.AppendTorn(kind, body); err != nil {
+				if err := w.jn.AppendTorn(kind, b); err != nil {
 					return err
 				}
 			default:
 				// Post-append flavors: durable, but the incarnation dies
 				// before applying it.
-				if _, err := w.jn.Append(kind, body); err != nil {
+				if _, err := w.jn.Append(kind, b); err != nil {
 					return err
 				}
 			}
@@ -159,7 +165,7 @@ func (s *ServiceNode) appendRec(kind uint8, body []byte, site ras.CrashSite) err
 		return fmt.Errorf("%w at LSN %d (%s)", ErrServiceNodeCrash, lsn, class)
 	}
 	if w.jn != nil {
-		if _, err := w.jn.Append(kind, body); err != nil {
+		if _, err := w.jn.Append(kind, b); err != nil {
 			return err
 		}
 	} else {
@@ -172,7 +178,7 @@ func (s *ServiceNode) appendRec(kind uint8, body []byte, site ras.CrashSite) err
 // drainState is everything replay reconstructs: which transitions are
 // durable for which jobs and partitions.
 type drainState struct {
-	submitted   map[int]bool
+	submitted   map[int]Job
 	started     map[int]bool // start record with no completion yet
 	completed   map[int]*JobResult
 	resume      map[int]*resumePoint
@@ -186,7 +192,7 @@ type drainState struct {
 
 func newDrainState() *drainState {
 	return &drainState{
-		submitted:   make(map[int]bool),
+		submitted:   make(map[int]Job),
 		started:     make(map[int]bool),
 		completed:   make(map[int]*JobResult),
 		resume:      make(map[int]*resumePoint),
@@ -216,7 +222,7 @@ func (st *drainState) applyRecord(r wal.Record) error {
 		if err != nil {
 			return err
 		}
-		st.submitted[job.ID] = true
+		st.submitted[job.ID] = job
 	case recPartAlloc:
 		id, base, mp, err := decodeTriple(r.Body)
 		if err != nil {
@@ -296,6 +302,11 @@ func (st *drainState) applyRecord(r wal.Record) error {
 // and the injector's MaxCrashes cap guarantees the loop terminates.
 func (s *ServiceNode) drainJournaled(jobs []Job, workers int) (*DrainResult, error) {
 	w := s.w
+	if w.jn == nil {
+		// Nothing durable remembers an earlier drain, so neither may the
+		// in-memory state: without a journal every Drain starts afresh.
+		w.st = newDrainState()
+	}
 	start := time.Now()
 	for {
 		err := s.drainPass(jobs, workers)
@@ -373,13 +384,19 @@ func (s *ServiceNode) assembleAborted(jobs []Job, workers int, start time.Time, 
 func (s *ServiceNode) drainPass(jobs []Job, workers int) error {
 	st := s.w.st
 	for _, job := range jobs {
-		if st.submitted[job.ID] {
+		if prior, ok := st.submitted[job.ID]; ok && prior != job {
+			return fmt.Errorf("%w: job %d (%s): journaled %+v, presented %+v",
+				ErrQueueMismatch, job.ID, job.Name, prior, job)
+		}
+	}
+	for _, job := range jobs {
+		if _, ok := st.submitted[job.ID]; ok {
 			continue
 		}
-		if err := s.appendRec(recJobSubmit, marshalJob(job), ras.SiteAppend); err != nil {
+		if err := s.appendRec(recJobSubmit, func() []byte { return marshalJob(job) }, ras.SiteAppend); err != nil {
 			return err
 		}
-		st.submitted[job.ID] = true
+		st.submitted[job.ID] = job
 	}
 	var pend []Job
 	for _, job := range jobs {
@@ -393,14 +410,14 @@ func (s *ServiceNode) drainPass(jobs []Job, workers int) error {
 
 	type simOut struct {
 		res     *JobResult
-		commits [][]byte
+		commits []*resumePoint
 	}
 	outs := replica.Map(workers, len(pend), func(i int) *simOut {
 		job := pend[i]
 		if s.cfg.Ckpt.Enabled {
 			o := &simOut{}
-			o.res = s.runJobResilientFrom(job, st.resume[job.ID], func(b []byte) {
-				o.commits = append(o.commits, b)
+			o.res = s.runJobResilientFrom(job, st.resume[job.ID], func(rp *resumePoint) {
+				o.commits = append(o.commits, rp)
 			})
 			return o
 		}
@@ -411,18 +428,18 @@ func (s *ServiceNode) drainPass(jobs []Job, workers int) error {
 	for i, job := range pend {
 		o := outs[i]
 		vid := -1 - job.ID // drain partitions are virtual: negative ID, base -1
-		if err := s.appendRec(recPartAlloc, tripleBody(vid, -1, job.Midplanes), ras.SiteAppend); err != nil {
+		if err := s.appendRec(recPartAlloc, func() []byte { return tripleBody(vid, -1, job.Midplanes) }, ras.SiteAppend); err != nil {
 			return err
 		}
-		if err := s.appendRec(recPartBoot, bootBody(vid, s.jobSeed(job)), ras.SiteBoot); err != nil {
+		if err := s.appendRec(recPartBoot, func() []byte { return bootBody(vid, s.jobSeed(job)) }, ras.SiteBoot); err != nil {
 			return err
 		}
-		if err := s.appendRec(recJobStart, idBody(job.ID), ras.SiteAppend); err != nil {
+		if err := s.appendRec(recJobStart, func() []byte { return idBody(job.ID) }, ras.SiteAppend); err != nil {
 			return err
 		}
 		st.started[job.ID] = true
-		for _, body := range o.commits {
-			if err := s.appendRec(recCkptCommit, ckptCommitRaw(job.ID, body), ras.SiteCkptCommit); err != nil {
+		for _, rp := range o.commits {
+			if err := s.appendRec(recCkptCommit, func() []byte { return ckptCommitBody(job.ID, rp) }, ras.SiteCkptCommit); err != nil {
 				return err
 			}
 		}
@@ -430,25 +447,25 @@ func (s *ServiceNode) drainPass(jobs []Job, workers int) error {
 			if a.Completed || a.FaultMidplane < 0 || st.struck[job.ID][idx] {
 				continue
 			}
-			if err := s.appendRec(recStrike, tripleBody(job.ID, idx, a.FaultMidplane), ras.SiteAppend); err != nil {
+			if err := s.appendRec(recStrike, func() []byte { return tripleBody(job.ID, idx, a.FaultMidplane) }, ras.SiteAppend); err != nil {
 				return err
 			}
 			st.markStruck(job.ID, idx)
 			st.strikes[a.FaultMidplane]++
 			if st.strikes[a.FaultMidplane] >= ck.BlacklistAfter && !st.blacklisted[a.FaultMidplane] {
-				if err := s.appendRec(recBlacklist, idBody(a.FaultMidplane), ras.SiteAppend); err != nil {
+				if err := s.appendRec(recBlacklist, func() []byte { return idBody(a.FaultMidplane) }, ras.SiteAppend); err != nil {
 					return err
 				}
 				st.blacklisted[a.FaultMidplane] = true
 			}
 		}
-		if err := s.appendRec(recJobComplete, completeBody(job.ID, o.res), ras.SiteAppend); err != nil {
+		if err := s.appendRec(recJobComplete, func() []byte { return completeBody(job.ID, o.res) }, ras.SiteAppend); err != nil {
 			return err
 		}
 		st.completed[job.ID] = o.res
 		delete(st.started, job.ID)
 		delete(st.resume, job.ID)
-		if err := s.appendRec(recPartFree, idBody(vid), ras.SiteAppend); err != nil {
+		if err := s.appendRec(recPartFree, func() []byte { return idBody(vid) }, ras.SiteAppend); err != nil {
 			return err
 		}
 	}
@@ -534,7 +551,7 @@ func (s *ServiceNode) recoverInPlace(live []*Partition) (*RecoveryReport, error)
 		}
 		p.Destroy()
 		if _, ok := st.allocs[p.ID]; ok {
-			if err := s.appendRec(recPartFree, idBody(p.ID), ras.SiteRecovery); err != nil {
+			if err := s.appendRec(recPartFree, func() []byte { return idBody(p.ID) }, ras.SiteRecovery); err != nil {
 				return nil, err
 			}
 			delete(st.allocs, p.ID)
@@ -556,7 +573,7 @@ func (s *ServiceNode) recoverInPlace(live []*Partition) (*RecoveryReport, error)
 	}
 	sort.Ints(orphans)
 	for _, id := range orphans {
-		if err := s.appendRec(recOrphanKill, idBody(id), ras.SiteRecovery); err != nil {
+		if err := s.appendRec(recOrphanKill, func() []byte { return idBody(id) }, ras.SiteRecovery); err != nil {
 			return nil, err
 		}
 		delete(st.started, id)
@@ -593,7 +610,8 @@ func (s *ServiceNode) recoverInPlace(live []*Partition) (*RecoveryReport, error)
 // ones resume from their last journaled checkpoint; never-started ones
 // run fresh. cfg must arm the journal and should otherwise match the
 // dead node's (same seed, kernel, topology — recovery cannot conjure
-// results for a queue it never journaled).
+// results for a queue it never journaled); a different queue under the
+// journaled job IDs fails Drain with ErrQueueMismatch.
 func Recover(cfg Config, store *fs.FS, live []*Partition) (*ServiceNode, *RecoveryReport, error) {
 	if !cfg.Journal.Enabled {
 		return nil, nil, fmt.Errorf("ctrlsys: Recover needs Journal.Enabled")
@@ -601,11 +619,7 @@ func Recover(cfg Config, store *fs.FS, live []*Partition) (*ServiceNode, *Recove
 	if store == nil {
 		return nil, nil, fmt.Errorf("ctrlsys: Recover needs the dead node's control store")
 	}
-	topo := cfg.Topology.normalized()
-	s := &ServiceNode{cfg: cfg, topo: topo, owner: make([]int, topo.Midplanes())}
-	for i := range s.owner {
-		s.owner[i] = -1
-	}
+	s := newNode(cfg)
 	s.w = &world{
 		store: store,
 		inj:   ras.NewCrashInjector(cfg.Crashes),

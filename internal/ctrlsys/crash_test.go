@@ -3,6 +3,7 @@ package ctrlsys
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"bgcnk/internal/ckpt"
@@ -221,12 +222,12 @@ func TestRecoverKillsOrphansAndScansLive(t *testing.T) {
 	s := New(cfg)
 	jobs := resilienceJobs()[:2]
 	for _, job := range jobs {
-		if err := s.appendRec(recJobSubmit, marshalJob(job), ras.SiteAppend); err != nil {
+		if err := s.appendRec(recJobSubmit, func() []byte { return marshalJob(job) }, ras.SiteAppend); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Job 1 started but never completed: the orphan.
-	if err := s.appendRec(recJobStart, idBody(1), ras.SiteAppend); err != nil {
+	if err := s.appendRec(recJobStart, func() []byte { return idBody(1) }, ras.SiteAppend); err != nil {
 		t.Fatal(err)
 	}
 	// A real partition, allocated and booted through the journaled paths,
@@ -324,5 +325,68 @@ func TestServiceNodeCrashTyped(t *testing.T) {
 	// Failures must count real job failures only, never the aborted ones.
 	if res.Failures+res.CrashAborted > len(res.Results) {
 		t.Errorf("failures %d + aborted %d exceed %d jobs", res.Failures, res.CrashAborted, len(res.Results))
+	}
+}
+
+// TestQueueMismatchRejected covers the replay cross-check: a journaled
+// node — the one that drained a queue, or a successor Recover built over
+// its store — that is handed a different queue under the same job IDs
+// must refuse it with ErrQueueMismatch naming the first disagreeing job,
+// not silently return the journaled queue's results. The journaled queue
+// itself still replays.
+func TestQueueMismatchRejected(t *testing.T) {
+	cfg := Config{
+		Topology: Topology{Racks: 1, MidplanesPerRack: 2, NodesPerMidplane: 2},
+		Kind:     machine.KindCNK, Seed: 7,
+		Journal: JournalConfig{Enabled: true},
+	}
+	first, second := GenerateJobs(1, 3, 2), GenerateJobs(2, 3, 2)
+	bad := -1
+	for i := range first {
+		if first[i] != second[i] {
+			bad = i
+			break
+		}
+	}
+	if bad < 0 {
+		t.Fatal("the two queues are identical; the test is vacuous")
+	}
+	wantMsg := fmt.Sprintf("job %d (%s)", bad, second[bad].Name)
+
+	for _, tc := range []struct {
+		name string
+		node func(t *testing.T, s *ServiceNode) *ServiceNode
+	}{
+		{"same_node", func(t *testing.T, s *ServiceNode) *ServiceNode { return s }},
+		{"recovered", func(t *testing.T, s *ServiceNode) *ServiceNode {
+			s2, _, err := Recover(cfg, s.Store(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s2
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(cfg)
+			d1, err := s.Drain(first)
+			if err != nil {
+				t.Fatal(err)
+			}
+			node := tc.node(t, s)
+			res, err := node.Drain(second)
+			if !errors.Is(err, ErrQueueMismatch) {
+				t.Fatalf("drain of a different queue: result %v, err %v; want ErrQueueMismatch", res != nil, err)
+			}
+			if !strings.Contains(err.Error(), wantMsg) {
+				t.Errorf("error %q does not name %s", err, wantMsg)
+			}
+			again, err := node.Drain(first)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again.Signature() != d1.Signature() {
+				t.Errorf("journaled queue replays to %016x, original %016x", again.Signature(), d1.Signature())
+			}
+		})
 	}
 }

@@ -125,7 +125,9 @@ type ServiceNode struct {
 	nextPID int
 
 	// w is the crash-survivable world (control store, journal, crash
-	// injector, drain state); nil unless Journal or Crashes is armed.
+	// injector, drain state). Every node has one; with Journal and
+	// Crashes unarmed its journal is a no-op and its injector never
+	// fires, so every drain takes the same commit pipeline.
 	w *world
 
 	// obs is the job-lifecycle span recorder; nil unless Config.Obs is
@@ -135,17 +137,21 @@ type ServiceNode struct {
 
 // New builds a service node over the configured topology.
 func New(cfg Config) *ServiceNode {
+	s := newNode(cfg)
+	s.w = newWorld(cfg)
+	if cfg.Obs != nil {
+		s.obs = obs.New(*cfg.Obs)
+		s.obs.SetPidPrefix("job")
+	}
+	return s
+}
+
+// newNode builds a service node with every midplane free and no world.
+func newNode(cfg Config) *ServiceNode {
 	topo := cfg.Topology.normalized()
 	s := &ServiceNode{cfg: cfg, topo: topo, owner: make([]int, topo.Midplanes())}
 	for i := range s.owner {
 		s.owner[i] = -1
-	}
-	if cfg.Journal.Enabled || cfg.Crashes.Enabled() {
-		s.w = newWorld(cfg)
-	}
-	if cfg.Obs != nil {
-		s.obs = obs.New(*cfg.Obs)
-		s.obs.SetPidPrefix("job")
 	}
 	return s
 }
@@ -207,10 +213,8 @@ func (s *ServiceNode) Allocate(midplanes int) (*Partition, error) {
 	}
 	// Write-ahead: the allocation is durable before the midplane map
 	// changes, so a crash here loses nothing recovery has to undo.
-	if s.w != nil {
-		if err := s.appendRec(recPartAlloc, tripleBody(p.ID, base, midplanes), ras.SiteAppend); err != nil {
-			return nil, err
-		}
+	if err := s.appendRec(recPartAlloc, func() []byte { return tripleBody(p.ID, base, midplanes) }, ras.SiteAppend); err != nil {
+		return nil, err
 	}
 	s.nextPID++
 	for i := base; i < base+midplanes; i++ {
@@ -246,11 +250,11 @@ func (s *ServiceNode) blockName(base, span int) string {
 // down its backing machine if one is still up.
 func (s *ServiceNode) Release(p *Partition) {
 	p.Destroy()
-	if s.w != nil && p.Base >= 0 {
+	if p.Base >= 0 {
 		// A crash on this append leaves the allocation durable; the free
 		// happens anyway in memory, and recovery re-frees it from the
 		// journal — releasing twice is idempotent.
-		_ = s.appendRec(recPartFree, idBody(p.ID), ras.SiteAppend)
+		_ = s.appendRec(recPartFree, func() []byte { return idBody(p.ID) }, ras.SiteAppend)
 	}
 	for i := p.Base; i < p.Base+p.Midplanes; i++ {
 		if i >= 0 && i < len(s.owner) && s.owner[i] == p.ID {
@@ -267,8 +271,8 @@ func (s *ServiceNode) BootPartition(p *Partition, jobSeed uint64) error {
 	// Journal real (allocated) partition boots only: drain-simulation
 	// partitions (Base -1) are booted inside parallel workers and get
 	// their virtual boot records from the serial commit pipeline instead.
-	if s.w != nil && p.Base >= 0 {
-		if err := s.appendRec(recPartBoot, bootBody(p.ID, jobSeed), ras.SiteBoot); err != nil {
+	if p.Base >= 0 {
+		if err := s.appendRec(recPartBoot, func() []byte { return bootBody(p.ID, jobSeed) }, ras.SiteBoot); err != nil {
 			return err
 		}
 	}

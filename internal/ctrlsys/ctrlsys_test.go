@@ -81,7 +81,8 @@ func TestScheduleFIFOBackfill(t *testing.T) {
 		{ID: 3, Midplanes: 1},
 	}
 	durs := []sim.Cycles{100, 100, 150, 40}
-	sched := ScheduleFIFOBackfill(topo, jobs, func(id int) sim.Cycles { return durs[id] })
+	// No failed attempts: ScheduleResilient is plain FIFO + EASY backfill.
+	sched := ScheduleResilient(topo, jobs, durationResults(jobs, durs), CkptConfig{}.normalized())
 
 	p := sched.Placements
 	if p[0].Start != 0 {
@@ -109,6 +110,9 @@ func TestScheduleFIFOBackfill(t *testing.T) {
 	}
 	if sched.Utilization <= 0 || sched.Utilization > 1 {
 		t.Errorf("utilization = %f out of range", sched.Utilization)
+	}
+	if sched.Resubmits != 0 || sched.Drained != nil {
+		t.Errorf("resubmits %d, drained %v; want none without failed attempts", sched.Resubmits, sched.Drained)
 	}
 }
 
@@ -164,6 +168,35 @@ func TestDrainSmoke(t *testing.T) {
 	}
 	if d.Signature() != d2.Signature() {
 		t.Errorf("repeat drain signature %016x != %016x", d2.Signature(), d.Signature())
+	}
+}
+
+// TestDrainTwiceWithoutJournal pins how long journal-free drain state
+// lives: one Drain call. A node drained a second time must answer the
+// second queue exactly as a fresh node would — the same job IDs must not
+// hand back the first queue's results.
+func TestDrainTwiceWithoutJournal(t *testing.T) {
+	cfg := Config{Topology: Topology{Racks: 1, MidplanesPerRack: 2, NodesPerMidplane: 2}, Kind: machine.KindCNK, Seed: 7}
+	first, second := GenerateJobs(1, 3, 2), GenerateJobs(2, 3, 2)
+	s := New(cfg)
+	d1, err := s.Drain(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Drain(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := New(cfg).Drain(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Signature() == d1.Signature() {
+		t.Fatal("both queues drain to one signature; the test cannot tell them apart")
+	}
+	if got.Signature() != want.Signature() {
+		t.Errorf("second drain signature %016x, fresh node %016x (first drain %016x)",
+			got.Signature(), want.Signature(), d1.Signature())
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"bgcnk/internal/sim"
-	"bgcnk/internal/sim/replica"
 	"bgcnk/internal/upc"
 )
 
@@ -54,14 +53,22 @@ type DrainResult struct {
 }
 
 // Drain simulates every queued job and replays the FIFO+backfill queue
-// over the results. Jobs execute on a worker pool bounded by
-// Config.Workers; because each job runs on its own isolated partition
-// machine seeded purely by job ID, execution order cannot affect any
-// result, and the merge (performed in job-ID order after all workers
-// finish) is bit-identical at every worker count. This is the paper's
-// control-plane parallelism done deterministically: real wall-clock
-// speedup for multi-partition simulations with none of the replay
-// guarantees given up.
+// over the results. Every drain takes the same path: simulation fans out
+// on a worker pool bounded by Config.Workers, and a serial commit
+// pipeline then passes each job's transitions through the write-ahead
+// journal (a no-op when Config.Journal is off) in job-ID order. Because
+// each job runs on its own isolated partition machine seeded purely by
+// job ID, execution order cannot affect any result, and the merge
+// (performed in job-ID order after all workers finish) is bit-identical
+// at every worker count. This is the paper's control-plane parallelism
+// done deterministically: real wall-clock speedup for multi-partition
+// simulations with none of the replay guarantees given up.
+//
+// Without a journal, drain state lives for one call: a second Drain
+// simulates its queue afresh. With one, the journal is the drain state:
+// jobs it already holds results for are not simulated again, and a queue
+// that disagrees with the journaled submissions under the same job IDs
+// fails with ErrQueueMismatch.
 func (s *ServiceNode) Drain(jobs []Job) (*DrainResult, error) {
 	workers := s.cfg.Workers
 	if workers < 1 {
@@ -72,13 +79,7 @@ func (s *ServiceNode) Drain(jobs []Job) (*DrainResult, error) {
 			return nil, fmt.Errorf("ctrlsys: job %d has ID %d; Drain needs dense job IDs", i, job.ID)
 		}
 	}
-	var res *DrainResult
-	var err error
-	if s.w != nil {
-		res, err = s.drainJournaled(jobs, workers)
-	} else {
-		res, err = s.drainDirect(jobs, workers)
-	}
+	res, err := s.drainJournaled(jobs, workers)
 	if err == nil {
 		// Emitted here — serially, in job-ID order, from the merged
 		// result — so the recorded trace is byte-identical at every
@@ -86,24 +87,6 @@ func (s *ServiceNode) Drain(jobs []Job) (*DrainResult, error) {
 		s.emitJobSpans(res)
 	}
 	return res, err
-}
-
-// drainDirect is the journal-free fast path: simulate everything, merge
-// once. Its results are bit-identical to drainJournaled's — the journal
-// changes what is durable, never what is computed.
-func (s *ServiceNode) drainDirect(jobs []Job, workers int) (*DrainResult, error) {
-	res := &DrainResult{Results: make([]*JobResult, len(jobs)), Workers: workers}
-	runOne := s.runJob
-	if s.cfg.Ckpt.Enabled {
-		runOne = s.runJobResilient
-	}
-	start := time.Now()
-	res.Results = replica.Map(workers, len(jobs), func(i int) *JobResult {
-		return runOne(jobs[i])
-	})
-	res.Wall = time.Since(start)
-	s.mergeResults(res, jobs)
-	return res, nil
 }
 
 // mergeResults performs the deterministic merge, strictly in job-ID
@@ -136,18 +119,7 @@ func (s *ServiceNode) mergeResults(res *DrainResult, jobs []Job) {
 	}
 	res.RASHash = hash
 	res.Merged = upc.Merge(snaps...)
-	dur := func(id int) sim.Cycles {
-		d := res.Results[id].Duration()
-		if d == 0 {
-			d = 1 // a job that died before booting still occupies its block briefly
-		}
-		return d
-	}
-	if s.cfg.Ckpt.Enabled {
-		res.Sched = ScheduleResilient(s.topo, jobs, res.Results, s.cfg.Ckpt.normalized())
-	} else {
-		res.Sched = ScheduleFIFOBackfill(s.topo, jobs, dur)
-	}
+	res.Sched = ScheduleResilient(s.topo, jobs, res.Results, s.cfg.Ckpt.normalized())
 }
 
 // JobsPerSecond is the drained throughput in simulated control time.

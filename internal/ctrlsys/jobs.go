@@ -20,6 +20,12 @@ const (
 	teardownPerMidplane = sim.Cycles(50_000)
 )
 
+// teardownCost is the block time a partition of the given size spends in
+// teardown after each run.
+func teardownCost(midplanes int) sim.Cycles {
+	return teardownBase + teardownPerMidplane*sim.Cycles(midplanes)
+}
+
 // Job is one queued job submission.
 type Job struct {
 	ID        int
@@ -143,27 +149,35 @@ func jobApp(m *machine.Machine, job Job) machine.App {
 				}
 			}
 		}
-		if env.Rank == 0 && job.IOBytes > 0 {
-			path := append([]byte("/gpfs/"+job.Name), 0)
-			ctx.Store(base, path)
-			fd, errno := ctx.Syscall(kernel.SysOpen, uint64(base), kernel.OCreat|kernel.OWronly, 0644)
-			if errno != kernel.OK {
-				ctx.Syscall(kernel.SysExit, uint64(errno))
-				return
-			}
-			chunk := 1024
-			buf := make([]byte, chunk)
-			ctx.Store(base+4096, buf)
-			for off := 0; off < job.IOBytes; off += chunk {
-				n := chunk
-				if job.IOBytes-off < n {
-					n = job.IOBytes - off
-				}
-				ctx.Syscall(kernel.SysWrite, fd, uint64(base+4096), uint64(n))
-			}
-			ctx.Syscall(kernel.SysClose, fd)
-		}
+		writeOutput(ctx, env, base, job)
 	}
+}
+
+// writeOutput is a job's output phase: rank 0 writes job.IOBytes to
+// /gpfs/<name> through the I/O path, in 1 KB chunks. A failed open exits
+// the rank with the errno.
+func writeOutput(ctx kernel.Context, env *machine.Env, base hw.VAddr, job Job) {
+	if env.Rank != 0 || job.IOBytes <= 0 {
+		return
+	}
+	path := append([]byte("/gpfs/"+job.Name), 0)
+	ctx.Store(base, path)
+	fd, errno := ctx.Syscall(kernel.SysOpen, uint64(base), kernel.OCreat|kernel.OWronly, 0644)
+	if errno != kernel.OK {
+		ctx.Syscall(kernel.SysExit, uint64(errno))
+		return
+	}
+	chunk := 1024
+	buf := make([]byte, chunk)
+	ctx.Store(base+4096, buf)
+	for off := 0; off < job.IOBytes; off += chunk {
+		n := chunk
+		if job.IOBytes-off < n {
+			n = job.IOBytes - off
+		}
+		ctx.Syscall(kernel.SysWrite, fd, uint64(base+4096), uint64(n))
+	}
+	ctx.Syscall(kernel.SysClose, fd)
 }
 
 // runJob simulates one job on its own freshly booted partition machine
@@ -198,7 +212,7 @@ func (s *ServiceNode) runJob(job Job) *JobResult {
 		return res
 	}
 	res.Run = m.Eng.Now() - boot
-	res.Teardown = teardownBase + teardownPerMidplane*sim.Cycles(job.Midplanes)
+	res.Teardown = teardownCost(job.Midplanes)
 	res.ExitCodes = m.ExitCodes()
 	res.Counters = m.MergedCounters()
 	if m.RAS != nil {

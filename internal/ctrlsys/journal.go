@@ -154,8 +154,9 @@ func (d *jdec) finish() error {
 	return nil
 }
 
-// jobBody encodes the job spec carried by submit records, so replay can
-// cross-check the re-presented queue against what the dead node accepted.
+// marshalJob encodes the job spec carried by submit records, so replay
+// can cross-check the re-presented queue against what the dead node
+// accepted (see ErrQueueMismatch).
 func marshalJob(j Job) []byte {
 	var e jenc
 	e.i32(int32(j.ID))
@@ -439,12 +440,11 @@ func decodeComplete(b []byte) (int, *JobResult, error) {
 	return id, r, err
 }
 
-// ckptCommitRaw pairs the job ID with an already-marshalled resume
-// point (the bytes the resilience loop's commit hook handed over).
-func ckptCommitRaw(id int, rp []byte) []byte {
+// ckptCommitBody pairs the job ID with its marshalled resume point.
+func ckptCommitBody(id int, rp *resumePoint) []byte {
 	var e jenc
 	e.i32(int32(id))
-	e.blob(rp)
+	e.blob(marshalResume(rp))
 	return e.b
 }
 

@@ -104,25 +104,22 @@ type Attempt struct {
 	Completed bool
 }
 
-// runJobResilient runs the job with checkpointing armed, restarting from
-// the last checkpoint (on a freshly booted partition with the identical
-// job seed) after a fault kill, until it completes or the restart budget
-// is exhausted. Every quantity is a pure function of (config, job), so
-// results stay bit-identical across reruns and worker counts.
-func (s *ServiceNode) runJobResilient(job Job) *JobResult {
-	return s.runJobResilientFrom(job, nil, nil)
-}
-
-// runJobResilientFrom is runJobResilient with the restart loop made
-// resumable: rp, when non-nil, is a journaled resume point (partial
-// accounting, RAS-hash fold, next attempt index, freshest checkpoint
-// blob) and the loop continues exactly where the dead service node left
-// it. Because each attempt is a pure function of (job seed, attempt
-// index, resume image), a continued run is bit-identical to an
-// uninterrupted one by construction. commit, when non-nil, is invoked
-// after every failed attempt with the marshalled resume point — the body
-// the journaled drain later appends as a checkpoint-commit record.
-func (s *ServiceNode) runJobResilientFrom(job Job, rp *resumePoint, commit func([]byte)) *JobResult {
+// runJobResilientFrom runs the job with checkpointing armed, restarting
+// from the last checkpoint (on a freshly booted partition with the
+// identical job seed) after a fault kill, until it completes or the
+// restart budget is exhausted. Every quantity is a pure function of
+// (config, job), so results stay bit-identical across reruns and worker
+// counts.
+//
+// The restart loop is resumable: rp, when non-nil, is a journaled resume
+// point (partial accounting, RAS-hash fold, next attempt index, freshest
+// checkpoint blob) and the loop continues exactly where the dead service
+// node left it. Because each attempt is a pure function of (job seed,
+// attempt index, resume image), a continued run is bit-identical to an
+// uninterrupted one by construction. commit is invoked after every
+// failed attempt with the resume point — what the drain's commit
+// pipeline later appends as a checkpoint-commit record.
+func (s *ServiceNode) runJobResilientFrom(job Job, rp *resumePoint, commit func(*resumePoint)) *JobResult {
 	cfg := s.cfg.Ckpt.normalized()
 	nodes := job.Midplanes * s.topo.NodesPerMidplane
 	res := &JobResult{Job: job, Nodes: nodes}
@@ -206,7 +203,7 @@ func (s *ServiceNode) runJobResilientFrom(job Job, rp *resumePoint, commit func(
 		if ok {
 			res.Attempts = append(res.Attempts, a)
 			res.Run = run
-			res.Teardown = teardownBase + teardownPerMidplane*sim.Cycles(job.Midplanes)
+			res.Teardown = teardownCost(job.Midplanes)
 			res.ExitCodes = codes
 			res.Counters = m.MergedCounters()
 			res.RASHash = rasHash
@@ -226,7 +223,7 @@ func (s *ServiceNode) runJobResilientFrom(job Job, rp *resumePoint, commit func(
 				}
 			}
 		}
-		teardown := teardownBase + teardownPerMidplane*sim.Cycles(job.Midplanes)
+		teardown := teardownCost(job.Midplanes)
 		res.Wasted += p.Boot.Total + run + teardown
 		if attempt < cfg.MaxRestarts {
 			// Occupancy of a non-final failed attempt is pure overhead on
@@ -248,14 +245,12 @@ func (s *ServiceNode) runJobResilientFrom(job Job, rp *resumePoint, commit func(
 		} else {
 			res.Err = fmt.Sprintf("job exited nonzero: %v", codes)
 		}
-		if commit != nil {
-			// Snapshot the loop state NOW (marshalling copies everything):
-			// the journal must hold exactly this point, not whatever res
-			// mutates into later.
-			commit(marshalResume(&resumePoint{
-				res: *res, rasHash: rasHash, next: attempt + 1, image: resumeBlob,
-			}))
-		}
+		// Snapshot the loop state NOW: the journal must hold exactly this
+		// point, not whatever res mutates into later. Copying res suffices
+		// (its slices are only ever replaced, or appended past the
+		// snapshot's length), so the body is marshalled only if a journal
+		// stores it.
+		commit(&resumePoint{res: *res, rasHash: rasHash, next: attempt + 1, image: resumeBlob})
 		p.Destroy()
 	}
 	res.BudgetExhausted = true
@@ -357,26 +352,7 @@ func resilientJobApp(m *machine.Machine, job Job, resume *ckpt.Image, interval i
 				}
 			}
 		}
-		if env.Rank == 0 && job.IOBytes > 0 {
-			path := append([]byte("/gpfs/"+job.Name), 0)
-			ctx.Store(base, path)
-			fd, errno := ctx.Syscall(kernel.SysOpen, uint64(base), kernel.OCreat|kernel.OWronly, 0644)
-			if errno != kernel.OK {
-				ctx.Syscall(kernel.SysExit, uint64(errno))
-				return
-			}
-			chunk := 1024
-			buf := make([]byte, chunk)
-			ctx.Store(base+4096, buf)
-			for off := 0; off < job.IOBytes; off += chunk {
-				n := chunk
-				if job.IOBytes-off < n {
-					n = job.IOBytes - off
-				}
-				ctx.Syscall(kernel.SysWrite, fd, uint64(base+4096), uint64(n))
-			}
-			ctx.Syscall(kernel.SysClose, fd)
-		}
+		writeOutput(ctx, env, base, job)
 	}
 }
 

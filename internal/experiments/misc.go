@@ -52,6 +52,7 @@ func RunBoot(opt Options) (*Result, error) {
 	// worker count.
 	boots, err := replica.Run(opt.workers(), 3, func(i int) (uint64, error) {
 		eng := sim.NewEngine()
+		defer eng.Shutdown() // the FWK's daemons stay parked after boot
 		chip := hw.NewChip(hw.ChipConfig{ID: i})
 		if i == 0 {
 			k := cnk.New(eng, chip, cnk.Config{Reproducible: true})

@@ -36,11 +36,12 @@ func frun(t *testing.T, eng *sim.Engine, k *Kernel, spec JobSpec) *Job {
 
 func TestBootSlowerThanCNK(t *testing.T) {
 	eng, k := fnode(t, Config{})
-	_ = eng
+	defer eng.Shutdown()
 	if k.BootInstr < 10_000_000 {
 		t.Fatalf("full FWK boot = %d instructions; should dwarf CNK's", k.BootInstr)
 	}
 	eng2 := sim.NewEngine()
+	defer eng2.Shutdown()
 	k2 := New(eng2, hw.NewChip(hw.ChipConfig{}), Config{Stripped: true})
 	k2.Boot()
 	if k2.BootInstr >= k.BootInstr {

@@ -1,7 +1,8 @@
 #!/bin/sh
-# CI gate: vet, gofmt, build, the full test suite under the race detector, the
-# fuzz seed-corpus regressions, and a short live fuzz pass on each fuzz
-# target. Run from the repository root:
+# CI gate: vet, gofmt, build, the full test suite under the race detector,
+# the table of explicitly gated contracts (fuzz seed-corpus regressions
+# included), and a short live fuzz pass on each fuzz target. Run from the
+# repository root:
 #
 #   ./scripts/ci.sh            # full gate
 #   FUZZTIME=0 ./scripts/ci.sh # skip the live fuzz pass (regressions still run)
@@ -27,92 +28,145 @@ go build ./...
 echo "== go test -race"
 go test -race ./...
 
-echo "== fuzz seed-corpus regressions"
-go test -run 'Fuzz' ./internal/fs/ ./internal/ciod/ ./internal/ion/ ./internal/ctrlsys/ ./internal/ctrlsys/wal/ ./internal/ckpt/ ./internal/torus/ ./internal/obs/
+# Contract table. Every contract below is also part of the -race suite
+# above, but each is gated explicitly, one row per `go test` command:
+#
+#   group ; race|- ; packages ; -run pattern
+#
+# Before a row runs, every |-separated alternative of its pattern must
+# name a test that `go test -list` shows in each of its packages, and
+# after it runs, every alternative that selects subtests (contains a /)
+# must have a passing subtest in the -v output — so a renamed contract
+# test fails CI instead of passing vacuously. Rows of one group run under
+# one "==" heading. Regenerate goldens with -update after deliberate
+# model changes.
+contracts() {
+	cat <<'TABLE'
+# Fuzz seed-corpus regressions.
+fuzz seed-corpus regressions ; - ; ./internal/fs/ ./internal/ciod/ ./internal/ion/ ./internal/ctrlsys/ ./internal/ctrlsys/wal/ ./internal/ckpt/ ./internal/torus/ ./internal/obs/ ; Fuzz
 
-# The fault matrix is part of the -race suite above, but gate on it
-# explicitly: per-class fault determinism and the recovery-under-fault
-# replay are the RAS layer's contract.
-echo "== fault matrix"
-go test -run 'TestFaultMatrix|TestRecoveryUnderFaultDeterminism|TestFaultsOffChangesNothing|TestCIODRetryExhaustionSurfacesEIO|TestCIODCrashRecovery' ./internal/machine/
+# RAS layer: per-class fault determinism and the recovery-under-fault
+# replay.
+fault matrix ; - ; ./internal/machine/ ; TestFaultMatrix|TestRecoveryUnderFaultDeterminism|TestFaultsOffChangesNothing|TestCIODRetryExhaustionSurfacesEIO|TestCIODCrashRecovery
 
-# Control-system contracts, gated explicitly for the same reason: the
-# parallel drain must be bit-identical to serial (under -race), a reused
-# machine must match a fresh one, and the boot-scaling table must match
-# its golden byte-for-byte (regenerate with -update after model changes).
-echo "== control system: determinism + boot golden"
-go test -race -run 'TestParallelDrainMatchesSerial' ./internal/ctrlsys/
-go test -run 'TestRebootedMachineMatchesFresh' ./internal/machine/
-go test -run 'TestGolden/boot' ./internal/experiments/
+# Control system: the parallel drain must be bit-identical to serial, a
+# reused machine must match a fresh one, and the boot-scaling table must
+# match its golden byte-for-byte. Every drain takes one path (the commit
+# pipeline) and every schedule one scheduler: ScheduleResilient must
+# equal the reference FIFO + EASY backfill over seeded queues,
+# journal-free drain state must last one Drain, and a journal must refuse
+# a different queue under its job IDs.
+control system: determinism + one drain path + boot golden ; race ; ./internal/ctrlsys/ ; TestParallelDrainMatchesSerial|TestScheduleResilientMatchesFIFOBackfill|TestScheduleFIFOBackfill|TestDrainTwiceWithoutJournal|TestQueueMismatchRejected
+control system: determinism + one drain path + boot golden ; - ; ./internal/machine/ ; TestRebootedMachineMatchesFresh
+control system: determinism + one drain path + boot golden ; - ; ./internal/experiments/ ; TestGolden/boot
 
-# Resilience contracts: a checkpoint/restart run must be bit-identical to
-# the fault-free run (work signature + exit codes, both kernels, under
-# -race), every fault class must recover or fail with the typed budget
-# error, and the mtbf sweep must match its golden byte-for-byte.
-echo "== resilience: restart determinism + mtbf golden"
-go test -race -run 'TestRestartDeterminism|TestResilienceFaultClassMatrix' ./internal/ctrlsys/
-go test -run 'TestGolden/mtbf' ./internal/experiments/
+# Resilience: a checkpoint/restart run must be bit-identical to the
+# fault-free run (work signature + exit codes, both kernels), every fault
+# class must recover or fail with the typed budget error, and the mtbf
+# sweep must match its golden.
+resilience: restart determinism + mtbf golden ; race ; ./internal/ctrlsys/ ; TestRestartDeterminism|TestResilienceFaultClassMatrix
+resilience: restart determinism + mtbf golden ; - ; ./internal/experiments/ ; TestGolden/mtbf
 
 # Crash-only control system: every crash class x seed must recover to a
-# drain bit-identical to the crash-free one at 1/2/8 workers (under
-# -race), double-crash-during-recovery included; a crash with the journal
-# off must surface the typed ErrServiceNodeCrash next to any budget
-# errors; a recovered-then-rebooted machine must match a fresh one; and
-# the crash-rate sweep must match its golden byte-for-byte.
-echo "== crash-only service node: crash matrix + recovery + crashes golden"
-go test -race -run 'TestCrashMatrixDeterminism|TestDoubleCrashDuringRecovery|TestServiceNodeCrashTyped|TestRecoverReplaysCompletedDrain|TestRecoverKillsOrphansAndScansLive|TestJournaledDrainMatchesDirect' ./internal/ctrlsys/
-go test -run 'TestRecoveredMachineMatchesFresh' ./internal/machine/
-go test -run 'TestGolden/crashes' ./internal/experiments/
+# drain bit-identical to the crash-free one at 1/2/8 workers,
+# double-crash-during-recovery included; a crash with the journal off
+# must surface the typed ErrServiceNodeCrash next to any budget errors; a
+# recovered-then-rebooted machine must match a fresh one; and the
+# crash-rate sweep must match its golden.
+crash-only service node: crash matrix + recovery + crashes golden ; race ; ./internal/ctrlsys/ ; TestCrashMatrixDeterminism|TestDoubleCrashDuringRecovery|TestServiceNodeCrashTyped|TestRecoverReplaysCompletedDrain|TestRecoverKillsOrphansAndScansLive|TestJournaledDrainMatchesDirect
+crash-only service node: crash matrix + recovery + crashes golden ; - ; ./internal/machine/ ; TestRecoveredMachineMatchesFresh
+crash-only service node: crash matrix + recovery + crashes golden ; - ; ./internal/experiments/ ; TestGolden/crashes
 
-# I/O-node aggregation contracts: with the subsystem armed, the whole
-# machine (shared uplink, ingress credits, coalescer, write-back cache)
-# must be cycle-reproducible and survive reboot identically; the
-# checkpointed drain through the ION cache must restart bit-identically
-# at 1/2/8 workers (under -race); an unarmed machine must be cycle-exact
-# with the pre-ION model; the ion_crash fault class must replay
-# cycle-exactly; and the ioscale sweep must match its golden
-# byte-for-byte.
-echo "== I/O-node aggregation: determinism + ion_crash + ioscale golden"
-go test -race -run 'TestIONMachineDeterminism|TestIONRebootMatchesFresh|TestIONOffChangesNothing|TestSealCheckpointFlushesIONCache' ./internal/machine/
-go test -race -run 'TestRestartDeterminismThroughIONCache' ./internal/ctrlsys/
-go test -run 'TestFaultMatrix/.*/ion_crash' ./internal/machine/
-go test -run 'TestGolden/ioscale' ./internal/experiments/
+# I/O-node aggregation: with the subsystem armed the whole machine must
+# be cycle-reproducible and survive reboot identically; the checkpointed
+# drain through the ION cache must restart bit-identically at 1/2/8
+# workers; an unarmed machine must be cycle-exact with the pre-ION
+# model; the ion_crash fault class must replay cycle-exactly; and the
+# ioscale sweep must match its golden.
+I/O-node aggregation: determinism + ion_crash + ioscale golden ; race ; ./internal/machine/ ; TestIONMachineDeterminism|TestIONRebootMatchesFresh|TestIONOffChangesNothing|TestSealCheckpointFlushesIONCache
+I/O-node aggregation: determinism + ion_crash + ioscale golden ; race ; ./internal/ctrlsys/ ; TestRestartDeterminismThroughIONCache
+I/O-node aggregation: determinism + ion_crash + ioscale golden ; - ; ./internal/machine/ ; TestFaultMatrix/.*/ion_crash
+I/O-node aggregation: determinism + ion_crash + ioscale golden ; - ; ./internal/experiments/ ; TestGolden/ioscale
 
-# Fault-tolerant torus contracts: the armed hard-fault matrix (link_fail
-# and node_fail x seeds x both kernels) must replay cycle-exactly and
-# bit-identically at 1/2/8 workers (under -race); a plan with no hard
+# Fault-tolerant torus: the armed hard-fault matrix must replay
+# cycle-exactly and bit-identically at 1/2/8 workers; a plan with no hard
 # network faults must leave the legacy torus path untouched; an
 # unroutable plan must be refused at boot; the net-fault control-system
 # consequences (localization, blacklist, typed budget error) must hold;
-# and the degrade sweep must match its golden byte-for-byte.
-echo "== fault-tolerant torus: fault matrix + nil-path + degrade golden"
-go test -race -run 'TestTorusFaultMatrix|TestTorusFaultsOffChangesNothing|TestUnroutablePartitionFailsBoot' ./internal/machine/
-go test -race -run 'TestLinkFaultLocalizedAndSurvived|TestNodeFaultExhaustsBudgetTyped' ./internal/ctrlsys/
-go test -run 'TestGolden/degrade' ./internal/experiments/
+# and the degrade sweep must match its golden.
+fault-tolerant torus: fault matrix + nil-path + degrade golden ; race ; ./internal/machine/ ; TestTorusFaultMatrix|TestTorusFaultsOffChangesNothing|TestUnroutablePartitionFailsBoot
+fault-tolerant torus: fault matrix + nil-path + degrade golden ; race ; ./internal/ctrlsys/ ; TestLinkFaultLocalizedAndSurvived|TestNodeFaultExhaustsBudgetTyped
+fault-tolerant torus: fault matrix + nil-path + degrade golden ; - ; ./internal/experiments/ ; TestGolden/degrade
 
-# Sim fast-path contracts, gated explicitly: the timer-wheel scheduler
-# must replay seeded event workloads AND full machine fault-replay runs
-# bit-identically to the reference heap (trace hashes, exit codes, UPC
-# counters, RAS logs), and the replica runner must merge bit-identical
-# results at 1, 2, and 8 workers — from the raw pool up through the
-# rendered experiment artifacts. All under -race.
-echo "== sim fast path: heap-vs-wheel differential + replica worker invariance"
-go test -race -run 'TestDifferential' ./internal/sim/ ./internal/machine/
-go test -race -run 'TestReplicaWorkerInvariance' ./internal/sim/replica/
-go test -race -run 'TestRenderWorkerInvariance' ./internal/experiments/
+# Sim fast path: the timer-wheel scheduler must replay seeded event
+# workloads AND full machine fault-replay runs bit-identically to the
+# reference heap, and the replica runner must merge bit-identical results
+# at 1, 2 and 8 workers, from the raw pool up through the rendered
+# experiment artifacts.
+sim fast path: heap-vs-wheel differential + replica worker invariance ; race ; ./internal/sim/ ./internal/machine/ ; TestDifferential
+sim fast path: heap-vs-wheel differential + replica worker invariance ; race ; ./internal/sim/replica/ ; TestReplicaWorkerInvariance
+sim fast path: heap-vs-wheel differential + replica worker invariance ; race ; ./internal/experiments/ ; TestRenderWorkerInvariance
 
-# Observability contracts: arming the span/sampler layer must change
-# NOTHING (cycle-exact vs the unarmed machine, fault injector on), the
-# armed trace must be byte-identical across kernels x seeds x reruns and
-# across drain worker counts (under -race), the syscall ABI conformance
-# table must hold with its documented divergences, the cross-subsystem
-# soak invariants (ION credit conservation, counter monotonicity, no
-# leaked partitions, journaled-crash completion) must hold, and the
-# tracescale sweep must match its golden byte-for-byte.
-echo "== observability: inertness + trace determinism + conformance + soak + tracescale golden"
-go test -race -run 'TestObsOffChangesNothing|TestObsArmedDeterminism|TestObsSurvivesClearJobsResetsOnReboot|TestSyscallConformance|TestSoak' ./internal/machine/
-go test -race -run 'TestObsDrainWorkerInvariance|TestObsDrainResilientSpans' ./internal/ctrlsys/
-go test -run 'TestGolden/tracescale' ./internal/experiments/
+# Observability: arming the span/sampler layer must change NOTHING
+# (cycle-exact vs the unarmed machine, fault injector on), the armed
+# trace must be byte-identical across kernels x seeds x reruns and across
+# drain worker counts, the syscall ABI conformance table must hold with
+# its documented divergences, the cross-subsystem soak invariants must
+# hold, and the tracescale sweep must match its golden.
+observability: inertness + trace determinism + conformance + soak + tracescale golden ; race ; ./internal/machine/ ; TestObsOffChangesNothing|TestObsArmedDeterminism|TestObsSurvivesClearJobsResetsOnReboot|TestSyscallConformance|TestSoak
+observability: inertness + trace determinism + conformance + soak + tracescale golden ; race ; ./internal/ctrlsys/ ; TestObsDrainWorkerInvariance|TestObsDrainResilientSpans
+observability: inertness + trace determinism + conformance + soak + tracescale golden ; - ; ./internal/experiments/ ; TestGolden/tracescale
+
+# Goroutine-leak gate: every test binary that builds engines fails if a
+# simulation coroutine outlives its tests (leakgate.Main in TestMain).
+# Gate on the detector itself and on the boot experiment, whose engines
+# it once leaked.
+goroutine-leak gate ; race ; ./internal/leakgate/ ; TestLeakGateSeesUnshutEngine
+goroutine-leak gate ; - ; ./internal/experiments/ ; TestRunBoot|TestGolden/boot
+TABLE
+}
+
+# alternatives prints a -run pattern's |-separated alternatives, one a line.
+alternatives() { printf '%s\n' "$1" | tr '|' '\n'; }
+
+trim() { printf '%s' "$1" | sed 's/^[[:space:]]*//; s/[[:space:]]*$//'; }
+
+group=""
+contracts | grep -v '^#' | grep -v '^[[:space:]]*$' | while IFS=';' read -r g race pkgs pattern; do
+	g="$(trim "$g")"
+	race="$(trim "$race")"
+	pkgs="$(trim "$pkgs")"
+	pattern="$(trim "$pattern")"
+	if [ "$g" != "$group" ]; then
+		group="$g"
+		echo "== $group"
+	fi
+	flags="-v"
+	if [ "$race" = race ]; then
+		flags="-race -v"
+	fi
+	for pkg in $pkgs; do
+		listed="$(go test -list . "$pkg" | grep -E '^(Test|Fuzz|Example|Benchmark)' || true)"
+		alternatives "$pattern" | while read -r alt; do
+			if ! printf '%s\n' "$listed" | grep -Eq -- "${alt%%/*}"; then
+				echo "contract pattern '$alt' lists no test in $pkg (renamed or removed?)" >&2
+				exit 1
+			fi
+		done
+	done
+	# shellcheck disable=SC2086 # flags and pkgs are word lists
+	if ! out="$(go test $flags -run "$pattern" $pkgs 2>&1)"; then
+		printf '%s\n' "$out"
+		exit 1
+	fi
+	printf '%s\n' "$out" | grep -E '^(ok|FAIL)[[:space:]]'
+	alternatives "$pattern" | grep / | while read -r alt; do
+		if ! printf '%s\n' "$out" | grep -Eq -- "--- PASS: $alt"; then
+			echo "contract pattern '$alt' ran no passing subtest in $pkgs (renamed or removed?)" >&2
+			exit 1
+		fi
+	done
+done
 
 echo "== benchmark smoke (non-gating)"
 ./scripts/bench.sh || echo "WARN: bench smoke failed (non-gating)"
