@@ -1,7 +1,11 @@
 // Package leakgate is a test-only guard against leaked simulation
 // coroutines. Every coroutine sim.(*Engine).Go starts runs on its own
 // goroutine until it finishes or its engine shuts it down, so code that
-// drops an engine without Shutdown leaves goroutines parked forever.
+// drops an engine without Shutdown leaves goroutines parked forever. The
+// goroutine is "created by iter.Pull"; once dispatched its stack still
+// names the (*Engine).Go closure, and before that it sits at
+// runtime.corostart, which the gate also matches (sim is the module's
+// only iter.Pull user).
 // Packages whose tests build engines wire the gate into their test
 // binary:
 //
@@ -17,9 +21,16 @@ import (
 	"time"
 )
 
-// marker is in every coroutine goroutine's stack: the closure
-// sim.(*Engine).Go runs it on, or its "created by" line.
+// marker is in every dispatched coroutine's stack: the closure
+// sim.(*Engine).Go runs its body in.
 const marker = "bgcnk/internal/sim.(*Engine).Go"
+
+// unstartedFrame and pullCreator together mark a coroutine created by
+// iter.Pull that was never dispatched.
+const (
+	unstartedFrame = "runtime.corostart()"
+	pullCreator    = "created by iter.Pull["
+)
 
 // Grace is how long Main waits for coroutines of shut-down engines to
 // finish exiting before it calls the rest leaked.
@@ -65,7 +76,8 @@ func coroutines() []string {
 	}
 	var out []string
 	for _, g := range strings.Split(string(buf), "\n\n") {
-		if strings.Contains(g, marker) {
+		if strings.Contains(g, marker) ||
+			strings.Contains(g, unstartedFrame) && strings.Contains(g, pullCreator) {
 			out = append(out, g)
 		}
 	}

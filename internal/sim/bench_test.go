@@ -86,3 +86,44 @@ func BenchmarkTraceRecord(b *testing.B) {
 		tr.Record(Cycles(i), "core0", "tracepoint")
 	}
 }
+
+// BenchmarkCoroSwitch measures one coroutine park/resume round trip: a
+// Sleep(1) parks, and the next Step resumes it.
+func BenchmarkCoroSwitch(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine()
+	defer e.Shutdown()
+	e.Go("pingpong", func(c *Coro) {
+		for {
+			c.Sleep(1)
+		}
+	})
+	e.Step()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}
+
+// BenchmarkCoroSpawn measures starting a coroutine and running it to
+// completion. Engines are replaced in batches because an engine keeps
+// every coroutine it started until Shutdown.
+func BenchmarkCoroSpawn(b *testing.B) {
+	b.ReportAllocs()
+	const batch = 1024
+	var e *Engine
+	body := func(c *Coro) {}
+	for i := 0; i < b.N; i++ {
+		if i%batch == 0 {
+			b.StopTimer()
+			if e != nil {
+				e.Shutdown()
+			}
+			e = NewEngine()
+			b.StartTimer()
+		}
+		e.Go("spawn", body)
+		e.Step()
+	}
+	e.Shutdown()
+}

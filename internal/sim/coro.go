@@ -1,5 +1,7 @@
 package sim
 
+import "iter"
+
 // WakeReason tells a parked coroutine why it resumed.
 type WakeReason int
 
@@ -22,67 +24,56 @@ func (r WakeReason) String() string {
 // Engine.Shutdown.
 type coroKilled struct{}
 
-type resumeMsg struct {
-	reason WakeReason
-	kill   bool
-}
-
-// Coro is a cooperative simulated thread of execution. A coroutine runs on
-// its own goroutine, but the engine guarantees only one simulation
-// goroutine (event callback or coroutine) executes at a time: every resume
-// flows through the event queue and every yield hands control back to the
-// engine synchronously.
+// Coro is a cooperative simulated thread of execution, built on iter.Pull:
+// its body is the sequence, the engine dispatches it with next, it parks
+// with yield, and Shutdown kills it with stop. Control passes through the
+// runtime's direct coroutine switch, never the Go scheduler, and exactly
+// one simulation context (event callback or coroutine) runs at a time:
+// every resume flows through the event queue and every park hands control
+// back to the engine synchronously. A panic in a coroutine propagates out
+// of the Engine.Step (or Run) that dispatched it.
 //
 // Coro methods must only be called from simulation context.
 type Coro struct {
-	eng    *Engine
-	name   string
-	resume chan resumeMsg
-	yield  chan struct{}
+	eng   *Engine
+	name  string
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 
-	parked  bool   // currently parked awaiting resume
-	wakeGen uint64 // invalidates in-flight timeout events after a signal wake
-	pending bool   // a signal arrived while the coroutine was running
-	done    bool
-	dead    bool
+	reason  WakeReason // why the coroutine was last dispatched
+	parked  bool       // currently parked awaiting resume
+	wakeGen uint64     // invalidates in-flight timeout events after a signal wake
+	pending bool       // a signal arrived while the coroutine was running
+	done    bool       // finished, panicked or killed
 }
 
 // Go starts fn as a new coroutine named name. The coroutine begins running
 // at the current cycle, after already-queued events at this cycle.
 func (e *Engine) Go(name string, fn func(c *Coro)) *Coro {
-	c := &Coro{
-		eng:    e,
-		name:   name,
-		resume: make(chan resumeMsg),
-		yield:  make(chan struct{}),
-	}
+	c := &Coro{eng: e, name: name, parked: true}
+	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
+		c.yield = yield
+		defer func() {
+			c.done = true
+			if r := recover(); r != nil {
+				if _, ok := r.(coroKilled); !ok {
+					panic(r)
+				}
+			}
+		}()
+		fn(c)
+	})
 	e.coros = append(e.coros, c)
-	go func() {
-		msg := <-c.resume // initial dispatch
-		if !msg.kill {
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						if _, ok := r.(coroKilled); !ok {
-							panic(r)
-						}
-					}
-				}()
-				fn(c)
-			}()
-		}
-		c.done = true
-		c.yield <- struct{}{}
-	}()
-	c.parked = true
-	e.After(0, func() { c.dispatch(resumeMsg{reason: WakeSignal}) })
+	e.atCoro(e.now, c, 0, WakeSignal)
 	return c
 }
 
 // Name returns the coroutine's debug name.
 func (c *Coro) Name() string { return c.name }
 
-// Done reports whether the coroutine's function has returned.
+// Done reports whether the coroutine has finished: its function returned
+// or panicked, or Shutdown killed it.
 func (c *Coro) Done() bool { return c.done }
 
 // Engine returns the engine this coroutine runs on.
@@ -91,27 +82,28 @@ func (c *Coro) Engine() *Engine { return c.eng }
 // Now returns the current simulation time.
 func (c *Coro) Now() Cycles { return c.eng.Now() }
 
-// dispatch hands control to the coroutine and blocks until it yields or
-// finishes. Must run on the engine goroutine (inside an event).
-func (c *Coro) dispatch(msg resumeMsg) {
-	if c.done || c.dead {
+// resume runs a resume event scheduled under wake generation gen. Gen 0
+// is the initial dispatch, which runs unless the coroutine was killed;
+// any other generation is stale once the coroutine was woken or re-parked
+// since.
+func (c *Coro) resume(gen uint64, reason WakeReason) {
+	if c.done || gen != 0 && (c.wakeGen != gen || !c.parked) {
 		return
 	}
 	c.parked = false
-	c.resume <- msg
-	<-c.yield
+	c.reason = reason
+	c.next()
 }
 
-// park yields control to the engine and blocks until resumed. Returns the
-// resume message.
-func (c *Coro) park() resumeMsg {
+// park yields control to the engine until the next dispatch and returns
+// its wake reason. A kill makes yield report false and unwinds the
+// coroutine.
+func (c *Coro) park() WakeReason {
 	c.parked = true
-	c.yield <- struct{}{}
-	msg := <-c.resume
-	if msg.kill {
+	if !c.yield(struct{}{}) {
 		panic(coroKilled{})
 	}
-	return msg
+	return c.reason
 }
 
 // Sleep advances this coroutine's time by d cycles. Other simulation
@@ -142,11 +134,11 @@ func (c *Coro) Park(timeout Cycles) WakeReason {
 		c.pending = false
 		return WakeSignal
 	}
-	gen := c.bumpGen()
+	c.wakeGen++
 	if timeout < Forever {
-		c.eng.At(c.eng.Now()+timeout, func() { c.timeoutWake(gen) })
+		c.eng.atCoro(c.eng.Now()+timeout, c, c.wakeGen, WakeTimeout)
 	}
-	return c.park().reason
+	return c.park()
 }
 
 // Wake delivers a signal to the coroutine. If it is parked it resumes (via
@@ -155,47 +147,24 @@ func (c *Coro) Park(timeout Cycles) WakeReason {
 // next Park. Waking a finished coroutine is a no-op. Multiple wakes before
 // the coroutine parks collapse into one.
 func (c *Coro) Wake() {
-	if c.done || c.dead {
+	if c.done {
 		return
 	}
 	if !c.parked {
 		c.pending = true
 		return
 	}
-	gen := c.bumpGen() // invalidate any in-flight timeout
-	c.eng.After(0, func() {
-		if c.wakeGen != gen || !c.parked {
-			return // superseded
-		}
-		c.dispatch(resumeMsg{reason: WakeSignal})
-	})
+	c.wakeGen++ // invalidate any in-flight timeout
+	c.eng.atCoro(c.eng.Now(), c, c.wakeGen, WakeSignal)
 }
 
-func (c *Coro) bumpGen() uint64 {
-	c.wakeGen++
-	return c.wakeGen
-}
-
-func (c *Coro) timeoutWake(gen uint64) {
-	if c.wakeGen != gen || !c.parked {
-		return // stale: the coroutine was woken or re-parked since
-	}
-	c.dispatch(resumeMsg{reason: WakeTimeout})
-}
-
-// kill unwinds the coroutine if it is still parked. Called only from
-// Engine.Shutdown (outside simulation context, with the engine idle).
+// kill unwinds the coroutine if it has not finished; one killed before its
+// first dispatch never runs its function. Called only from Engine.Shutdown
+// (outside simulation context, with the engine idle).
 func (c *Coro) kill() {
-	if c.done || c.dead {
+	if c.done {
 		return
 	}
-	if !c.parked {
-		// A non-parked, non-done coroutine outside simulation context
-		// cannot exist; nothing to do but mark it dead.
-		c.dead = true
-		return
-	}
-	c.dead = true
-	c.resume <- resumeMsg{kill: true}
-	<-c.yield
+	c.done = true
+	c.stop()
 }

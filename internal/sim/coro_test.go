@@ -1,7 +1,11 @@
 package sim
 
 import (
+	"errors"
 	"testing"
+	"time"
+
+	"bgcnk/internal/leakgate"
 )
 
 // TestCoroKillWhileParked is the basic shutdown-unwind path: a coroutine
@@ -74,7 +78,7 @@ func TestCoroDoubleKill(t *testing.T) {
 	})
 	e.RunUntilIdle()
 	c.kill()
-	c.kill() // second kill must not re-send on the resume channel
+	c.kill() // second kill must not stop the coroutine again
 	e.Shutdown()
 	e.Shutdown() // idempotent
 }
@@ -165,4 +169,75 @@ func TestShutdownAfterIdleThenReuseKeepsPanicGuard(t *testing.T) {
 	e.At(5, func() {})
 	e.RunUntilIdle()
 	e.Shutdown() // must not panic: engine is idle, caller is host code
+}
+
+// TestCoroPanicReachesHost pins the panic contract: a coroutine panic
+// that is not a kill propagates out of the Step that dispatched it, with
+// its original value, the coroutine finished, the engine idle (so a
+// host-side Shutdown is legal) and no goroutine left behind.
+func TestCoroPanicReachesHost(t *testing.T) {
+	e := NewEngine()
+	boom := errors.New("boom")
+	c := e.Go("p", func(c *Coro) {
+		c.Sleep(10)
+		panic(boom)
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		e.RunUntilIdle()
+	}()
+	if got != boom {
+		t.Fatalf("host recovered %v, want the coroutine's panic value %v", got, boom)
+	}
+	if !c.Done() {
+		t.Fatal("a coroutine that panicked should report Done")
+	}
+	if e.stepping {
+		t.Fatal("stepping still set after the panic left Step")
+	}
+	e.Shutdown()
+	if stacks := leakgate.Leaked(leakgate.Grace); len(stacks) != 0 {
+		t.Fatalf("coroutine goroutine alive after its panic:\n%s", stacks[0])
+	}
+}
+
+// TestCoroKillBeforeFirstDispatch: iter.Pull creates the coroutine's
+// goroutine at Go, so Shutdown with no Run must still reap it, without
+// ever running the coroutine's function.
+func TestCoroKillBeforeFirstDispatch(t *testing.T) {
+	e := NewEngine()
+	ran := false
+	c := e.Go("p", func(c *Coro) { ran = true })
+	if n := len(leakgate.Leaked(20 * time.Millisecond)); n != 1 {
+		t.Fatalf("Leaked sees %d goroutines of an undispatched coroutine, want 1", n)
+	}
+	e.Shutdown()
+	if ran {
+		t.Fatal("a coroutine killed before its first dispatch ran its function")
+	}
+	if !c.Done() {
+		t.Fatal("a coroutine killed before its first dispatch should report Done")
+	}
+	if stacks := leakgate.Leaked(leakgate.Grace); len(stacks) != 0 {
+		t.Fatalf("undispatched coroutine alive after Shutdown:\n%s", stacks[0])
+	}
+}
+
+// TestCoroSwitchAllocs gates the park/resume round trip at zero
+// allocations: a Sleep(1) schedules a pooled resume event, not a closure.
+func TestCoroSwitchAllocs(t *testing.T) {
+	e := NewEngine()
+	defer e.Shutdown()
+	e.Go("pingpong", func(c *Coro) {
+		for {
+			c.Sleep(1)
+		}
+	})
+	for i := 0; i < 1024; i++ { // warm the wheel's slots and the event pool
+		e.Step()
+	}
+	if n := testing.AllocsPerRun(1000, func() { e.Step() }); n != 0 {
+		t.Fatalf("park/resume round trip allocates %v times, want 0", n)
+	}
 }

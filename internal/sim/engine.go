@@ -4,11 +4,16 @@ import (
 	"fmt"
 )
 
-// event is a single scheduled callback.
+// event is a single scheduled callback, or a coroutine resume when coro is
+// set: the resume form carries its wake generation and reason, so parking
+// and waking schedule no closure.
 type event struct {
-	at  Cycles
-	seq uint64 // tie-breaker: FIFO among events at the same cycle
-	fn  func()
+	at     Cycles
+	seq    uint64 // tie-breaker: FIFO among events at the same cycle
+	fn     func()
+	coro   *Coro
+	gen    uint64
+	reason WakeReason
 }
 
 // EngineConfig selects engine implementation details that must never
@@ -35,7 +40,7 @@ type Engine struct {
 
 	// free recycles event structs: the simulation's hot path schedules
 	// millions of events, and pooling them leaves the per-schedule cost
-	// at the callback closure alone.
+	// at the callback closure alone (none for a coroutine resume).
 	free []*event
 
 	// stepping guards against event-queue mutation racing a running
@@ -77,6 +82,22 @@ func (e *Engine) Trace() *Trace { return e.trace }
 // At schedules fn to run at absolute cycle t. Scheduling in the past is an
 // error in simulation logic and panics.
 func (e *Engine) At(t Cycles, fn func()) {
+	ev := e.newEvent(t)
+	ev.fn = fn
+	e.sched.push(ev)
+}
+
+// atCoro schedules a resume of c at absolute cycle t under wake
+// generation gen (see Coro.resume).
+func (e *Engine) atCoro(t Cycles, c *Coro, gen uint64, reason WakeReason) {
+	ev := e.newEvent(t)
+	ev.coro, ev.gen, ev.reason = c, gen, reason
+	e.sched.push(ev)
+}
+
+// newEvent takes an event from the free list, stamped with time t and
+// the next sequence number.
+func (e *Engine) newEvent(t Cycles) *event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
 	}
@@ -89,8 +110,8 @@ func (e *Engine) At(t Cycles, fn func()) {
 	} else {
 		ev = new(event)
 	}
-	ev.at, ev.seq, ev.fn = t, e.seq, fn
-	e.sched.push(ev)
+	ev.at, ev.seq = t, e.seq
+	return ev
 }
 
 // After schedules fn to run d cycles from now.
@@ -101,7 +122,8 @@ func (e *Engine) After(d Cycles, fn func()) { e.At(e.now+d, fn) }
 func (e *Engine) SetAdvanceHook(fn func(prev, now Cycles)) { e.advance = fn }
 
 // Step runs the next pending event. It reports false when the queue is
-// empty.
+// empty. A panic in the event, or in a coroutine it resumes, propagates
+// to the caller with the engine idle again.
 func (e *Engine) Step() bool {
 	ev := e.sched.pop()
 	if ev == nil {
@@ -117,12 +139,16 @@ func (e *Engine) Step() bool {
 	} else {
 		e.now = ev.at
 	}
-	fn := ev.fn
-	ev.fn = nil
+	fn, c, gen, reason := ev.fn, ev.coro, ev.gen, ev.reason
+	ev.fn, ev.coro = nil, nil
 	e.free = append(e.free, ev)
 	e.stepping = true
-	fn()
-	e.stepping = false
+	defer func() { e.stepping = false }()
+	if c != nil {
+		c.resume(gen, reason)
+	} else {
+		fn()
+	}
 	return true
 }
 
@@ -155,8 +181,8 @@ func (e *Engine) RunUntilIdle() int {
 // Pending reports the number of queued events.
 func (e *Engine) Pending() int { return e.sched.len() }
 
-// Shutdown kills every live coroutine so their goroutines exit. The engine
-// must not be used afterwards.
+// Shutdown kills every live coroutine so their goroutines exit; one that
+// was never dispatched never runs. The engine must not be used afterwards.
 //
 // Contract: Shutdown is only legal on an idle engine, from host code —
 // never from inside an event callback or coroutine. A coroutine cannot

@@ -5,9 +5,11 @@
 // (cycle-by-cycle reproducible execution for chip bringup) is reproduced by
 // running the whole machine inside a single event loop whose event order is a
 // pure function of (configuration, seeds). Simulated threads of execution are
-// cooperative coroutines; exactly one goroutine is runnable at any instant,
-// and all cross-thread signalling flows through the event queue, which is
-// ordered by (time, insertion sequence).
+// cooperative coroutines built on iter.Pull: the engine resumes one with
+// next, it parks with yield, and control passes through the runtime's
+// direct coroutine switch rather than the Go scheduler, so exactly one
+// goroutine is runnable at any instant. All cross-thread signalling flows
+// through the event queue, which is ordered by (time, insertion sequence).
 package sim
 
 import "fmt"

@@ -117,6 +117,11 @@ observability: inertness + trace determinism + conformance + soak + tracescale g
 observability: inertness + trace determinism + conformance + soak + tracescale golden ; race ; ./internal/ctrlsys/ ; TestObsDrainWorkerInvariance|TestObsDrainResilientSpans
 observability: inertness + trace determinism + conformance + soak + tracescale golden ; - ; ./internal/experiments/ ; TestGolden/tracescale
 
+# Coroutines on iter.Pull: a park/resume round trip allocates nothing, a
+# coroutine panic reaches the host with the engine idle and no goroutine
+# left, and a coroutine killed before its first dispatch never runs.
+coroutines: zero-alloc switch + panic contract + kill before dispatch ; race ; ./internal/sim/ ; TestCoroSwitchAllocs|TestCoroPanicReachesHost|TestCoroKillBeforeFirstDispatch
+
 # Goroutine-leak gate: every test binary that builds engines fails if a
 # simulation coroutine outlives its tests (leakgate.Main in TestMain).
 # Gate on the detector itself and on the boot experiment, whose engines
