@@ -153,8 +153,8 @@ func probeBootInstr(kind machine.KernelKind, stripped bool) uint64 {
 		}
 		return k.BootInstr
 	}
-	// No daemon specs: this probe must not start coroutines it cannot
-	// reclaim. Daemon start is charged separately by the caller.
+	// No daemon specs: daemon start is charged separately by the caller,
+	// so the probe boots none.
 	k := fwk.New(eng, chip, fwk.Config{Stripped: stripped, Daemons: []fwk.DaemonSpec{}})
 	if err := k.Boot(); err != nil {
 		panic(err)

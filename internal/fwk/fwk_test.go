@@ -1,12 +1,14 @@
 package fwk
 
 import (
+	"runtime"
 	"testing"
 
 	"bgcnk/internal/fs"
 	"bgcnk/internal/hw"
 	"bgcnk/internal/kernel"
 	"bgcnk/internal/sim"
+	"bgcnk/internal/upc"
 )
 
 func fnode(t *testing.T, cfg Config) (*sim.Engine, *Kernel) {
@@ -67,6 +69,38 @@ func TestJobRunsToCompletion(t *testing.T) {
 	}})
 	if !ran {
 		t.Fatal("main did not run")
+	}
+}
+
+// TestDaemonBurstsAreEventDriven runs a job long enough for ksoftirqd/0
+// (60 ms period) to burst several times on core 0. Booting starts no
+// goroutine, every burst preempts the job, and every preemption ends in
+// a completed burst.
+func TestDaemonBurstsAreEventDriven(t *testing.T) {
+	before := runtime.NumGoroutine()
+	eng, k := fnode(t, Config{Seed: 3})
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("boot started %d goroutines; daemons must hold none", n-before)
+	}
+	var took sim.Cycles
+	frun(t, eng, k, JobSpec{Main: func(ctx kernel.Context, rank int) {
+		start := ctx.Now()
+		ctx.Compute(sim.FromMillis(300))
+		took = ctx.Now() - start
+	}})
+	runs := k.cpus[0].DaemonRuns
+	if runs == 0 {
+		t.Fatal("no daemon burst on core 0 in 300 ms")
+	}
+	u := k.Chip.UPC
+	if p := u.Get(0, upc.Preemption); p != runs {
+		t.Fatalf("core 0: %d preemptions, %d daemon runs; want equal and nonzero", p, runs)
+	}
+	if d := u.Get(0, upc.DaemonRun); d != runs {
+		t.Fatalf("core 0: UPC daemon_run %d, DaemonRuns %d", d, runs)
+	}
+	if took <= sim.FromMillis(300) {
+		t.Fatalf("a preempted compute took %d cycles, no more than its work", took)
 	}
 }
 

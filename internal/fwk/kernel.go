@@ -173,11 +173,22 @@ func (k *Kernel) Boot() error {
 	for i, c := range k.cpus {
 		c.nextTick = k.BootedAt + tickPeriod + k.rng.Cycles(tickPeriod) + sim.Cycles(i*997)
 	}
+	// Each core's daemons are one run of a shared array, sized up front
+	// so a daemon never moves once its burst callback is bound.
+	perCore := make([]int, len(k.cpus))
 	for _, spec := range k.cfg.Daemons {
-		if spec.Core >= len(k.cpus) {
-			continue
+		if spec.Core < len(k.cpus) {
+			perCore[spec.Core]++
 		}
-		k.startDaemon(spec)
+	}
+	all := make([]daemon, len(k.cfg.Daemons))
+	for i, c := range k.cpus {
+		c.daemons, all = all[:0:perCore[i]], all[perCore[i]:]
+	}
+	for _, spec := range k.cfg.Daemons {
+		if spec.Core < len(k.cpus) {
+			k.startDaemon(spec)
+		}
 	}
 	return nil
 }
@@ -202,9 +213,9 @@ func (k *Kernel) ResetJobState() {
 // allocator, tick phases and daemon schedules all restart exactly as a
 // fresh boot's would, just shifted to the new boot instant. fsys, when
 // non-nil, replaces the node's (NFS) filesystem — a partition reboot
-// remounts a clean export. The previous incarnation's daemon coroutines
-// stay parked forever (nothing dispatches them once cpus[i].daemons is
-// replaced); they are reclaimed at engine Shutdown.
+// remounts a clean export. The previous incarnation's daemons are
+// dropped with cpus[i].daemons: they hold no coroutine, and a burst still
+// in flight finishes on its already-scheduled events.
 func (k *Kernel) Reboot(fsys *fs.FS) error {
 	k.ResetJobState()
 	k.booted = false

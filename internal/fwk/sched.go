@@ -19,61 +19,95 @@ type cpu struct {
 	ready []*kernel.Thread
 
 	nextTick sim.Cycles
-	daemons  []*daemon
+	daemons  []daemon
 
 	Ticks           uint64
 	ContextSwitches uint64
 	DaemonRuns      uint64
 }
 
-// daemon is a background kernel thread with its own coroutine. When due,
-// it preempts whatever user thread holds the core, runs its burst
-// (polluting the caches with its working set), and hands the core back.
+// daemon is a background kernel thread. It sleeps until the tick handler
+// finds it due; then it preempts whatever user thread holds the core,
+// runs its burst (polluting the caches with its working set), and hands
+// the core back. A burst is a chain of engine events at the instants a
+// thread running it would wake: dispatch, the end of the cache-pollution
+// stall, the end of the burst. No coroutine backs it.
 type daemon struct {
 	spec    DaemonSpec
 	cpu     *cpu
-	coro    *sim.Coro
 	nextRun sim.Cycles
-	jitter  *sim.RNG
+	jitter  sim.RNG
+	wsBase  hw.PAddr // private working-set physical base
 	// handshake with the preempted thread
 	active   bool
 	resumeMe *kernel.Thread
-	wsBase   hw.PAddr // private working-set physical base
+	// the burst in flight: its next phase, start and length
+	phase    burstPhase
+	runStart sim.Cycles
+	burst    sim.Cycles
+	// fire is d.step, bound once so scheduling a phase allocates nothing.
+	fire func()
 }
 
+// burstPhase is the next step of a daemon's burst.
+type burstPhase uint8
+
+const (
+	burstDispatch burstPhase = iota // draw the burst, touch the working set
+	burstRun                        // the stall is over: run the burst
+	burstEnd                        // the burst is over: wake the preempted thread
+)
+
+// startDaemon appends spec's daemon to its core's run of daemons, which
+// Boot sized so that it never moves.
 func (k *Kernel) startDaemon(spec DaemonSpec) {
 	c := k.cpus[spec.Core]
-	d := &daemon{
+	c.daemons = append(c.daemons, daemon{
 		spec:   spec,
 		cpu:    c,
-		jitter: k.rng.Fork(uint64(len(c.daemons)) + uint64(spec.Core)<<8),
+		jitter: *k.rng.Fork(uint64(len(c.daemons)) + uint64(spec.Core)<<8),
 		wsBase: hw.PAddr(32<<20 + uint64(spec.Core)<<20 + uint64(len(c.daemons))*(64<<10)),
-	}
+	})
+	d := &c.daemons[len(c.daemons)-1]
 	d.nextRun = k.BootedAt + spec.Period/4 + d.jitter.Cycles(spec.Period)
-	c.daemons = append(c.daemons, d)
-	d.coro = k.Eng.Go("daemon."+spec.Name, d.loop)
+	d.fire = d.step
+	// The kernel thread starts and goes to sleep until its first burst.
+	k.Eng.At(k.Eng.Now(), threadStart)
 }
 
-// loop waits to be dispatched by the tick handler, then runs one burst.
-func (d *daemon) loop(c *sim.Coro) {
-	for {
-		for !d.active {
-			c.Park(sim.Forever)
+// threadStart is a daemon thread's boot event: it starts and sleeps.
+func threadStart() {}
+
+// step runs the daemon's burst from its current phase up to the next
+// instant it has to wait for.
+func (d *daemon) step() {
+	eng := d.cpu.k.Eng
+	now := eng.Now()
+	switch d.phase {
+	case burstDispatch:
+		d.runStart = now
+		d.burst = d.spec.Burst + d.jitter.Cycles(d.spec.Burst/8)
+		d.phase = burstRun
+		if cost, _ := d.cpu.core.Chip.Cache.Access(d.cpu.core.ID, d.wsBase, d.spec.WorkingSet, false, now); cost > 0 {
+			eng.At(now+cost, d.fire)
+			return
 		}
-		// Burst: CPU time plus cache pollution from the daemon's working
-		// set walking through L1.
-		runStart := c.Now()
-		burst := d.spec.Burst + d.jitter.Cycles(d.spec.Burst/8)
-		if cost, _ := d.cpu.core.Chip.Cache.Access(d.cpu.core.ID, d.wsBase, d.spec.WorkingSet, false, c.Now()); cost > 0 {
-			c.Sleep(cost)
+		fallthrough
+	case burstRun:
+		d.phase = burstEnd
+		if d.burst > 0 {
+			eng.At(now+d.burst, d.fire)
+			return
 		}
-		c.Sleep(burst)
+		fallthrough
+	case burstEnd:
+		d.phase = burstDispatch
 		d.cpu.DaemonRuns++
 		u := d.cpu.core.Chip.UPC
 		u.Inc(d.cpu.core.ID, upc.DaemonRun)
-		u.Trace.Emit(upc.EvDaemon, d.cpu.core.ID, c.Now(), uint64(d.spec.Core))
-		d.cpu.k.obs.Emit(obs.CatSched, d.spec.Name, d.cpu.k.Chip.ID, d.spec.Core, runStart, c.Now(), d.cpu.DaemonRuns)
-		d.nextRun = c.Now() + d.spec.Period + d.jitter.Cycles(d.spec.Period/16)
+		u.Trace.Emit(upc.EvDaemon, d.cpu.core.ID, now, uint64(d.spec.Core))
+		d.cpu.k.obs.Emit(obs.CatSched, d.spec.Name, d.cpu.k.Chip.ID, d.spec.Core, d.runStart, now, d.cpu.DaemonRuns)
+		d.nextRun = now + d.spec.Period + d.jitter.Cycles(d.spec.Period/16)
 		d.active = false
 		if t := d.resumeMe; t != nil {
 			d.resumeMe = nil
@@ -108,7 +142,8 @@ func (k *Kernel) ServiceInterrupt(t *kernel.Thread) {
 		k.obs.Emit(obs.CatSched, "fwk:tick", k.Chip.ID, t.CoreID(), now, k.Eng.Now(), uint64(c.Ticks))
 
 		// Dispatch due daemons: the user thread waits while they run.
-		for _, d := range c.daemons {
+		for i := range c.daemons {
+			d := &c.daemons[i]
 			if k.Eng.Now() >= d.nextRun && !d.active {
 				// The user thread is involuntarily descheduled for the
 				// daemon's burst: that is a preemption as FWQ sees it.
@@ -116,7 +151,7 @@ func (k *Kernel) ServiceInterrupt(t *kernel.Thread) {
 				u.Trace.Emit(upc.EvPreempt, c.core.ID, k.Eng.Now(), uint64(t.TID()))
 				d.active = true
 				d.resumeMe = t
-				d.coro.Wake()
+				k.Eng.At(k.Eng.Now(), d.fire)
 				for d.active {
 					t.Coro().Park(sim.Forever)
 				}

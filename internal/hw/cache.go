@@ -49,19 +49,23 @@ var (
 	_ = [1]struct{}{}[L3Ways-setWays]
 )
 
-// cacheSet is one set of a tag array. It holds no pointers, and its zero
-// value is an all-invalid set with victim 0, so untouched sets need no
-// initialization.
+// cacheSet is one set of a tag array. A way holds the 32-bit tag
+// uint32(line)+1 of its line, or 0 when it is invalid; MaxMemSize keeps
+// every line number below 2^32-1, so the encoding is exact. The set holds
+// no pointers, and its zero value is an all-invalid set with victim 0, so
+// untouched sets need no initialization.
 type cacheSet struct {
-	tags   [setWays]uint64
-	valid  uint16 // bit i: way i holds tags[i]
-	victim uint8  // round-robin, as on the real part — deterministic
+	tags   [setWays]uint32
+	victim uint8 // round-robin, as on the real part — deterministic
 }
 
+// lineTag is the tag of line: never 0, the invalid way.
+func lineTag(line uint64) uint32 { return uint32(line) + 1 }
+
 // hit probes without filling.
-func (s *cacheSet) hit(tag uint64) bool {
-	for i := range s.tags {
-		if s.valid&(1<<i) != 0 && s.tags[i] == tag {
+func (s *cacheSet) hit(tag uint32) bool {
+	for _, t := range s.tags {
+		if t == tag {
 			return true
 		}
 	}
@@ -69,12 +73,11 @@ func (s *cacheSet) hit(tag uint64) bool {
 }
 
 // access returns true on hit; on miss it fills the line.
-func (s *cacheSet) access(tag uint64) bool {
+func (s *cacheSet) access(tag uint32) bool {
 	if s.hit(tag) {
 		return true
 	}
 	s.tags[s.victim] = tag
-	s.valid |= 1 << s.victim
 	s.victim = (s.victim + 1) % setWays
 	return false
 }
@@ -207,7 +210,8 @@ func (cs *CacheSim) Access(core int, pa PAddr, size uint32, write bool, now sim.
 	for line := first; line <= last; line++ {
 		addr := line * L1LineSize
 		set := &cs.l1[core][line%L1Sets]
-		if set.hit(line) {
+		tag := lineTag(line)
+		if set.hit(tag) {
 			cs.L1Hits[core]++
 			if u != nil {
 				u.Inc(core, upc.L1Hit)
@@ -224,7 +228,7 @@ func (cs *CacheSim) Access(core int, pa PAddr, size uint32, write bool, now sim.
 				u.Inc(core, upc.StoreMiss)
 			}
 			l3line := addr / L3LineSize
-			cs.l3set(l3line).access(l3line)
+			cs.l3set(l3line).access(lineTag(l3line))
 			cost += CostStoreMiss
 			continue
 		}
@@ -232,9 +236,9 @@ func (cs *CacheSim) Access(core int, pa PAddr, size uint32, write bool, now sim.
 		if u != nil {
 			u.Inc(core, upc.L1Miss)
 		}
-		set.access(line) // allocate on load miss
+		set.access(tag) // allocate on load miss
 		l3line := addr / L3LineSize
-		if cs.l3set(l3line).access(l3line) {
+		if cs.l3set(l3line).access(lineTag(l3line)) {
 			cs.L3Hits++
 			if u != nil {
 				u.Inc(upc.ChipScope, upc.L3Hit)

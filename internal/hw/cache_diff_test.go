@@ -2,6 +2,7 @@ package hw
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"bgcnk/internal/ras"
@@ -185,15 +186,16 @@ func (rc *refCache) reset() {
 }
 
 // sameSet reports whether a CacheSim set holds the same lines as a
-// reference set: the same valid ways with the same tags, and the same
-// next victim. Tags of invalid ways are not state.
+// reference set: the same valid ways with the same lines, and the same
+// next victim. A CacheSim way is valid when its tag is nonzero and then
+// holds lineTag of its line; tags of invalid reference ways are not state.
 func sameSet(s *cacheSet, r *refSet) bool {
 	if int(s.victim) != r.victim {
 		return false
 	}
 	for i := range r.tags {
-		v := s.valid&(1<<i) != 0
-		if v != r.valid[i] || (v && s.tags[i] != r.tags[i]) {
+		v := s.tags[i] != 0
+		if v != r.valid[i] || (v && s.tags[i] != lineTag(r.tags[i])) {
 			return false
 		}
 	}
@@ -353,5 +355,41 @@ func TestNewChipAllocs(t *testing.T) {
 	const limit = 32
 	if n := testing.AllocsPerRun(20, func() { NewChip(ChipConfig{ID: 0}) }); n > limit {
 		t.Fatalf("NewChip allocates %.0f times, want <= %d", n, limit)
+	}
+}
+
+// TestNewChipBytes guards a chip's footprint: 32-bit line tags keep the
+// per-core L1 arrays at 17 KB of a chip's allocation.
+func TestNewChipBytes(t *testing.T) {
+	const runs, limit = 20, 42_000
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	NewChip(ChipConfig{ID: 0})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		NewChip(ChipConfig{ID: 0})
+	}
+	runtime.ReadMemStats(&after)
+	if b := (after.TotalAlloc - before.TotalAlloc) / runs; b > limit {
+		t.Fatalf("NewChip allocates %d bytes, want <= %d", b, limit)
+	}
+}
+
+// TestNewChipMemSizeBound pins the range the 32-bit tags encode exactly:
+// a chip of MaxMemSize builds, one byte more panics, and the widest line
+// of the largest chip still gets a nonzero tag of its own.
+func TestNewChipMemSizeBound(t *testing.T) {
+	NewChip(ChipConfig{MemSize: MaxMemSize})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("NewChip accepted MemSize above MaxMemSize")
+			}
+		}()
+		NewChip(ChipConfig{MemSize: MaxMemSize + 1})
+	}()
+	last := uint64(MaxMemSize-1) / L1LineSize
+	if lineTag(last) == 0 || lineTag(last) == lineTag(0) {
+		t.Fatalf("last line of MaxMemSize gets tag %#x", lineTag(last))
 	}
 }

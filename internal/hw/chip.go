@@ -117,13 +117,21 @@ type Chip struct {
 type ChipConfig struct {
 	ID      int
 	Coord   [3]int
-	MemSize uint64 // DDR bytes; default 256MB
+	MemSize uint64 // DDR bytes; default 256MB, at most MaxMemSize
 }
 
-// NewChip builds a chip with all units enabled.
+// MaxMemSize is the largest DDR a chip models: the cache keeps 32-bit
+// line tags, which hold every line of up to 64 GiB with room to spare.
+const MaxMemSize = 64 << 30
+
+// NewChip builds a chip with all units enabled. It panics if cfg.MemSize
+// exceeds MaxMemSize.
 func NewChip(cfg ChipConfig) *Chip {
 	if cfg.MemSize == 0 {
 		cfg.MemSize = 256 << 20
+	}
+	if cfg.MemSize > MaxMemSize {
+		panic(fmt.Sprintf("hw: MemSize %d exceeds MaxMemSize %d", cfg.MemSize, uint64(MaxMemSize)))
 	}
 	ch := &Chip{
 		ID:    cfg.ID,

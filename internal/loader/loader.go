@@ -92,8 +92,10 @@ func Unmarshal(b []byte) (*Image, error) {
 	}
 	b = b[4:]
 	fail := fmt.Errorf("loader: truncated image")
-	need := func(n int) ([]byte, bool) {
-		if len(b) < n {
+	// need takes n bytes. Lengths are read from the image, so n is
+	// compared unsigned: a length of 2^63 or more is just too long.
+	need := func(n uint64) ([]byte, bool) {
+		if uint64(len(b)) < n {
 			return nil, false
 		}
 		v := b[:n]
@@ -105,7 +107,7 @@ func Unmarshal(b []byte) (*Image, error) {
 		if !ok {
 			return "", false
 		}
-		sb, ok := need(int(binary.BigEndian.Uint32(lb)))
+		sb, ok := need(uint64(binary.BigEndian.Uint32(lb)))
 		return string(sb), ok
 	}
 	getBytes := func() ([]byte, bool) {
@@ -113,7 +115,7 @@ func Unmarshal(b []byte) (*Image, error) {
 		if !ok {
 			return nil, false
 		}
-		db, ok := need(int(binary.BigEndian.Uint64(lb)))
+		db, ok := need(binary.BigEndian.Uint64(lb))
 		return append([]byte(nil), db...), ok
 	}
 	im := &Image{}

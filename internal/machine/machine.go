@@ -45,7 +45,7 @@ func (k KernelKind) String() string {
 type Config struct {
 	Nodes   int
 	Kind    KernelKind
-	MemSize uint64 // DDR per node; default 256MB
+	MemSize uint64 // DDR per node; default 256MB, at most hw.MaxMemSize
 
 	// Dims, when nonzero, shapes the torus as a full multi-dimensional
 	// torus instead of the default {Nodes,1,1} ring; Nodes is then derived
@@ -133,6 +133,9 @@ type Machine struct {
 
 // New builds and boots the machine.
 func New(cfg Config) (*Machine, error) {
+	if cfg.MemSize > hw.MaxMemSize {
+		return nil, fmt.Errorf("machine: MemSize %d exceeds the %d-byte limit of a chip", cfg.MemSize, uint64(hw.MaxMemSize))
+	}
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 1
 	}

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"runtime"
 	"testing"
 
 	"bgcnk/internal/dcmf"
@@ -61,6 +62,46 @@ func TestFWKMachineBoots(t *testing.T) {
 	if err != nil || count != 2 {
 		t.Fatalf("%v count=%d", err, count)
 	}
+}
+
+// TestFWKRebootHoldsNoMoreGoroutines reboots a 2-node FWK machine
+// between jobs: a reboot must not leave the previous incarnation's
+// daemons holding goroutines, so the count never grows.
+func TestFWKRebootHoldsNoMoreGoroutines(t *testing.T) {
+	m, err := New(Config{Nodes: 2, Kind: KindFWK, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Shutdown()
+	job := func(ctx kernel.Context, env *Env) { ctx.Compute(1_000_000) }
+	if err := m.Run(job, kernel.JobParams{}, 0); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	for i := 0; i < 3; i++ {
+		if err := m.Reboot(); err != nil {
+			t.Fatal(err)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Fatalf("reboot %d: %d goroutines, %d before the first reboot", i+1, n, before)
+		}
+		if err := m.Run(job, kernel.JobParams{}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestMemSizeBound: the cache's 32-bit line tags cover at most
+// hw.MaxMemSize of DDR per node, and New refuses anything larger.
+func TestMemSizeBound(t *testing.T) {
+	if _, err := New(Config{Nodes: 1, Kind: KindCNK, MemSize: hw.MaxMemSize + 1}); err == nil {
+		t.Fatal("New accepted MemSize above hw.MaxMemSize")
+	}
+	m, err := New(Config{Nodes: 1, Kind: KindFWK, MemSize: hw.MaxMemSize})
+	if err != nil {
+		t.Fatalf("New refused MemSize = hw.MaxMemSize: %v", err)
+	}
+	m.Shutdown()
 }
 
 func TestMPIPingPong(t *testing.T) {

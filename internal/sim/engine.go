@@ -10,6 +10,7 @@ import (
 type event struct {
 	at     Cycles
 	seq    uint64 // tie-breaker: FIFO among events at the same cycle
+	next   *event // the timer wheel's bucket list link
 	fn     func()
 	coro   *Coro
 	gen    uint64

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -370,5 +371,51 @@ func TestCyclesStringForms(t *testing.T) {
 	}
 	if s := FromMillis(3).String(); s != "3.000ms" {
 		t.Errorf("millis form = %q", s)
+	}
+}
+
+// TestWheelScheduleAllocs gates the timer wheel at zero allocations from
+// the first event on: its buckets are intrusive lists threaded through
+// the events, so a fresh engine with a warm event free list schedules and
+// dispatches across all four wheel levels, their cascades and the
+// overflow heap without allocating.
+func TestWheelScheduleAllocs(t *testing.T) {
+	// Delays landing in level 0, 1, 2 and 3, and beyond the horizon.
+	delays := []Cycles{0, 1, 200, 300, 40_000, 70_000, 1 << 20, 5 << 20, 1 << 28, 9 << 28}
+	over := []Cycles{1 << 33, 3 << 33}
+	const rounds = 8
+	e := NewEngine()
+	defer e.Shutdown()
+	noop := func() {}
+
+	// Warm the free list with a batch's worth of events: the overflow
+	// ones also size the overflow heap, the rest share the current cycle
+	// and so touch one level-0 slot only.
+	for i := 0; i < rounds*len(over); i++ {
+		e.At(e.Now()+over[0], noop)
+	}
+	for i := 0; i < rounds*len(delays); i++ {
+		e.At(e.Now(), noop)
+	}
+	e.RunUntilIdle()
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for r := Cycles(0); r < rounds; r++ {
+		for _, d := range delays {
+			e.At(e.Now()+d+r*7, noop)
+		}
+		for _, d := range over {
+			e.At(e.Now()+d+r, noop)
+		}
+	}
+	n := e.RunUntilIdle()
+	runtime.ReadMemStats(&after)
+	if n != rounds*(len(delays)+len(over)) {
+		t.Fatalf("dispatched %d events, want %d", n, rounds*(len(delays)+len(over)))
+	}
+	if a := after.Mallocs - before.Mallocs; a != 0 {
+		t.Fatalf("scheduling and dispatching %d events allocated %d times, want 0", n, a)
 	}
 }

@@ -115,10 +115,12 @@ const (
 type wheelSched struct {
 	cur     Cycles // wheel time; equals the engine's now between pops
 	inWheel int    // events resident in the levels (excludes overflow)
-	slots   [wheelLevels][wheelSlots][]*event
-	occ     [wheelLevels][wheelWords]uint64
-	head0   [wheelSlots]int32 // consumed prefix of each level-0 bucket
-	over    eventHeap         // beyond-horizon events, ordered (at, seq)
+	// tails holds each bucket as a circular list threaded through
+	// event.next: the slot keeps the tail, whose next is the head, so
+	// appending and popping the head are O(1) and allocate nothing.
+	tails [wheelLevels][wheelSlots]*event
+	occ   [wheelLevels][wheelWords]uint64
+	over  eventHeap // beyond-horizon events, ordered (at, seq)
 }
 
 func newWheelSched() *wheelSched { return &wheelSched{} }
@@ -139,8 +141,14 @@ func (w *wheelSched) push(ev *event) {
 		lvl++
 	}
 	slot := int(ev.at>>(wheelBits*lvl)) & wheelMask
-	w.slots[lvl][slot] = append(w.slots[lvl][slot], ev)
-	w.occ[lvl][slot>>6] |= 1 << (slot & 63)
+	if tail := w.tails[lvl][slot]; tail != nil {
+		ev.next = tail.next
+		tail.next = ev
+	} else {
+		ev.next = ev
+		w.occ[lvl][slot>>6] |= 1 << (slot & 63)
+	}
+	w.tails[lvl][slot] = ev
 	w.inWheel++
 }
 
@@ -166,10 +174,10 @@ func (w *wheelSched) firstOcc(l, from int) (int, bool) {
 func (w *wheelSched) pop() *event {
 	// Same-cycle batch fast path: every event in the level-0 slot at the
 	// wheel's own digit is scheduled for exactly cur, so draining a burst
-	// of same-cycle events is a pointer bump per event. Overflow can only
+	// of same-cycle events is a list unlink per event. Overflow can only
 	// preempt it with an equal-time, earlier-seq event.
 	s0 := int(w.cur) & wheelMask
-	if int(w.head0[s0]) < len(w.slots[0][s0]) {
+	if w.tails[0][s0] != nil {
 		if len(w.over) == 0 || w.over[0].at > w.cur {
 			return w.takeL0(s0)
 		}
@@ -219,18 +227,15 @@ func (w *wheelSched) pop() *event {
 // takeL0 pops the head of level-0 bucket s. All events there share the
 // same cycle, so this never needs a comparison.
 func (w *wheelSched) takeL0(s int) *event {
-	b := w.slots[0][s]
-	h := w.head0[s]
-	ev := b[h]
-	b[h] = nil
-	h++
-	if int(h) == len(b) {
-		w.slots[0][s] = b[:0]
-		w.head0[s] = 0
+	tail := w.tails[0][s]
+	ev := tail.next
+	if ev == tail {
+		w.tails[0][s] = nil
 		w.occ[0][s>>6] &^= 1 << (s & 63)
 	} else {
-		w.head0[s] = h
+		tail.next = ev.next
 	}
+	ev.next = nil
 	w.inWheel--
 	return ev
 }
@@ -239,16 +244,21 @@ func (w *wheelSched) takeL0(s int) *event {
 // the wheel advanced into its window. List order is preserved, which
 // keeps same-cycle buckets in seq order.
 func (w *wheelSched) cascade(l, s int) {
-	evs := w.slots[l][s]
-	if len(evs) == 0 {
+	tail := w.tails[l][s]
+	if tail == nil {
 		return
 	}
-	w.slots[l][s] = evs[:0]
+	w.tails[l][s] = nil
 	w.occ[l][s>>6] &^= 1 << (s & 63)
-	w.inWheel -= len(evs)
-	for i, ev := range evs {
-		evs[i] = nil
+	ev := tail.next
+	for {
+		next := ev.next
+		w.inWheel--
 		w.push(ev)
+		if ev == tail {
+			return
+		}
+		ev = next
 	}
 }
 
@@ -299,9 +309,10 @@ func (w *wheelSched) peek() (Cycles, bool) {
 			if !ok {
 				continue
 			}
-			min := Cycles(0)
-			for i, ev := range w.slots[l][s] {
-				if i == 0 || ev.at < min {
+			tail := w.tails[l][s]
+			min := tail.at
+			for ev := tail.next; ev != tail; ev = ev.next {
+				if ev.at < min {
 					min = ev.at
 				}
 			}

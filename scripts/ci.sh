@@ -43,7 +43,7 @@ go test -race ./...
 contracts() {
 	cat <<'TABLE'
 # Fuzz seed-corpus regressions.
-fuzz seed-corpus regressions ; - ; ./internal/fs/ ./internal/ciod/ ./internal/ion/ ./internal/ctrlsys/ ./internal/ctrlsys/wal/ ./internal/ckpt/ ./internal/torus/ ./internal/obs/ ; Fuzz
+fuzz seed-corpus regressions ; - ; ./internal/fs/ ./internal/ciod/ ./internal/ion/ ./internal/ctrlsys/ ./internal/ctrlsys/wal/ ./internal/ckpt/ ./internal/torus/ ./internal/obs/ ./internal/loader/ ; Fuzz
 
 # RAS layer: per-class fault determinism and the recovery-under-fault
 # replay.
@@ -122,6 +122,18 @@ observability: inertness + trace determinism + conformance + soak + tracescale g
 # left, and a coroutine killed before its first dispatch never runs.
 coroutines: zero-alloc switch + panic contract + kill before dispatch ; race ; ./internal/sim/ ; TestCoroSwitchAllocs|TestCoroPanicReachesHost|TestCoroKillBeforeFirstDispatch
 
+# A drained job's fixed host cost: FWK daemons are event-driven bursts
+# that hold no goroutine (boot starts none, a reboot leaves none behind,
+# and a long run still bursts and preempts), the timer wheel schedules
+# across every level and the overflow heap without allocating, and the
+# 32-bit cache tags keep a chip at most 42 KB while the DDR size stays
+# within the range they encode.
+fixed job cost: event-driven daemons + zero-alloc wheel + 32-bit tags ; race ; ./internal/fwk/ ; TestDaemonBurstsAreEventDriven
+fixed job cost: event-driven daemons + zero-alloc wheel + 32-bit tags ; race ; ./internal/machine/ ; TestFWKRebootHoldsNoMoreGoroutines
+fixed job cost: event-driven daemons + zero-alloc wheel + 32-bit tags ; race ; ./internal/sim/ ; TestWheelScheduleAllocs
+fixed job cost: event-driven daemons + zero-alloc wheel + 32-bit tags ; - ; ./internal/hw/ ; TestNewChipAllocs|TestNewChipBytes|TestNewChipMemSizeBound
+fixed job cost: event-driven daemons + zero-alloc wheel + 32-bit tags ; - ; ./internal/machine/ ; TestMemSizeBound
+
 # Goroutine-leak gate: every test binary that builds engines fails if a
 # simulation coroutine outlives its tests (leakgate.Main in TestMain).
 # Gate on the detector itself and on the boot experiment, whose engines
@@ -186,6 +198,7 @@ if [ "$FUZZTIME" != "0" ]; then
 	go test -fuzz=FuzzJournal -fuzztime="$FUZZTIME" ./internal/ctrlsys/wal/
 	go test -fuzz=FuzzFaultPlan -fuzztime="$FUZZTIME" ./internal/torus/
 	go test -fuzz=FuzzTraceCodec -fuzztime="$FUZZTIME" ./internal/obs/
+	go test -fuzz=FuzzImage -fuzztime="$FUZZTIME" ./internal/loader/
 fi
 
 echo "CI gate passed."
