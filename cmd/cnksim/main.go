@@ -225,7 +225,7 @@ func runControl(kind bluegene.KernelKind, partitions, nodesPerMidplane, jobs, wo
 		len(d.Results), d.Sched.Makespan.Seconds(), d.JobsPerSecond(),
 		d.Sched.Backfilled, d.Sched.Utilization*100)
 	// No host wall-clock here: cnksim output is byte-identical across
-	// reruns (ctrlbench is the wall-clock reporting tool).
+	// reruns (hostbench measures host cost).
 	fmt.Printf("%d failures, %d RAS events, drain signature %016x\n",
 		d.Failures, d.RASEvents, d.Signature())
 	if tracePath != "" {

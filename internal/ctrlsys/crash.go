@@ -31,7 +31,7 @@ var ErrQueueMismatch = errors.New("ctrlsys: queue does not match the journaled s
 // Control-plane cost model, in simulated cycles on the service node's
 // clock: appending one journal record, noticing a dead service node, and
 // replaying a journal of a given size. These feed CrashStats and the
-// recovery-latency sweep in cmd/resbench; they never touch partition
+// crashes experiment's recovery-latency column; they never touch partition
 // simulations, so they cannot perturb job results.
 const (
 	journalAppendCost = sim.Cycles(2_000)

@@ -104,48 +104,6 @@ func ioscaleRun(kind machine.KernelKind, ratio int) (ioscaleCell, error) {
 	}, nil
 }
 
-// IOScaleMeasurement is one (kernel, ratio) cell of the ioscale sweep
-// in report units, exported for cmd/ionbench's machine-readable output.
-type IOScaleMeasurement struct {
-	ElapsedMs float64
-	AggMBps   float64
-	PerCNMBps float64
-	StallKcyc float64
-	Admits    uint64
-	Coalesced uint64
-	HitRate   float64 // percent
-	Identical bool    // a rerun was bit-identical (counters and cycles)
-}
-
-// MeasureIOScale runs one (kernel, ratio) cell of the ioscale sweep
-// twice and reports the measured numbers plus whether the rerun came
-// out bit-identical. The experiment itself (RunIOScale) gates the
-// sweep's qualitative shape; this is the raw-number hook for benches.
-func MeasureIOScale(kind machine.KernelKind, ratio int) (IOScaleMeasurement, error) {
-	a, err := ioscaleRun(kind, ratio)
-	if err != nil {
-		return IOScaleMeasurement{}, err
-	}
-	b, err := ioscaleRun(kind, ratio)
-	if err != nil {
-		return IOScaleMeasurement{}, err
-	}
-	hitRate := 0.0
-	if a.hits+a.misses > 0 {
-		hitRate = 100 * float64(a.hits) / float64(a.hits+a.misses)
-	}
-	return IOScaleMeasurement{
-		ElapsedMs: a.elapsed.Seconds() * 1e3,
-		AggMBps:   a.mbps(ratio),
-		PerCNMBps: a.mbps(ratio) / float64(ratio),
-		StallKcyc: float64(a.stall) / 1e3,
-		Admits:    a.admits,
-		Coalesced: a.coalesced,
-		HitRate:   hitRate,
-		Identical: a.counters == b.counters && a.elapsed == b.elapsed,
-	}, nil
-}
-
 // RunIOScale sweeps the CN:ION ratio for both kernels and asserts the
 // paper's aggregation shape: per-CN bandwidth falls monotonically as more
 // compute nodes share the I/O node (the shared uplink and ingress queue
@@ -219,8 +177,6 @@ func RunIOScale(opt Options) (*Result, error) {
 			r.notef("%s: stall cycles did not grow with fan-in (%d at %d vs %d at %d)",
 				k.name, top.stall, ratios[len(ratios)-1], bottom.stall, ratios[0])
 		}
-		_ = ki
-		_ = k
 	}
 
 	// The shipping asymmetry: CNK funnels every call through the ION's
@@ -242,16 +198,19 @@ func RunIOScale(opt Options) (*Result, error) {
 			topCNK.stall, topFWK.stall, ratios[len(ratios)-1])
 	}
 
-	// Determinism spot check on the most contended cell: a rerun must be
-	// bit-identical, counters and elapsed cycles both.
-	again, err := ioscaleRun(machine.KindCNK, ratios[len(ratios)-1])
-	if err != nil {
-		return nil, err
-	}
-	if again.counters != topCNK.counters || again.elapsed != topCNK.elapsed {
-		r.Pass = false
-		r.notef("CNK %d CN/ION rerun diverged: %d vs %d cycles — determinism broken",
-			ratios[len(ratios)-1], again.elapsed, topCNK.elapsed)
+	// Determinism spot check on each kernel's most contended cell: a
+	// rerun must be bit-identical, counters and elapsed cycles both.
+	for ki, k := range kinds {
+		top := cells[ki][len(ratios)-1]
+		again, err := ioscaleRun(k.kind, ratios[len(ratios)-1])
+		if err != nil {
+			return nil, err
+		}
+		if again.counters != top.counters || again.elapsed != top.elapsed {
+			r.Pass = false
+			r.notef("%s %d CN/ION rerun diverged: %d vs %d cycles — determinism broken",
+				k.name, ratios[len(ratios)-1], again.elapsed, top.elapsed)
+		}
 	}
 	return r, nil
 }

@@ -434,134 +434,6 @@ func BuildRouteTable(dims Coord, epoch uint32, linkAlive func(linkKey) bool, nod
 	return rt
 }
 
-// ---- route-table codec ----
-
-var routeTableMagic = [4]byte{'T', 'R', 'T', '1'}
-
-// Marshal encodes the table in canonical wire form.
-func (rt *RouteTable) Marshal() []byte {
-	b := append([]byte(nil), routeTableMagic[:]...)
-	for d := 0; d < 3; d++ {
-		b = binary.BigEndian.AppendUint32(b, uint32(rt.Dims[d]))
-	}
-	b = binary.BigEndian.AppendUint32(b, rt.Epoch)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(rt.Routes)))
-	for _, r := range rt.Routes {
-		for d := 0; d < 3; d++ {
-			b = binary.BigEndian.AppendUint32(b, uint32(r.Src[d]))
-		}
-		for d := 0; d < 3; d++ {
-			b = binary.BigEndian.AppendUint32(b, uint32(r.Dst[d]))
-		}
-		b = binary.BigEndian.AppendUint32(b, uint32(len(r.Hops)))
-		for _, h := range r.Hops {
-			for d := 0; d < 3; d++ {
-				b = binary.BigEndian.AppendUint32(b, uint32(h[d]))
-			}
-		}
-	}
-	return b
-}
-
-// routeLess orders routes by (Src, Dst) lexicographic.
-func routeLess(a, b Route) bool {
-	if a.Src != b.Src {
-		return coordLess(a.Src, b.Src)
-	}
-	return coordLess(a.Dst, b.Dst)
-}
-
-// UnmarshalRouteTable decodes a canonical route-table wire image. Beyond
-// framing, it validates the semantic invariants: coordinates in bounds,
-// routes sorted strictly by (src, dst), and every path a chain of unit
-// torus steps from src to dst.
-func UnmarshalRouteTable(b []byte) (*RouteTable, error) {
-	if len(b) < 4 || [4]byte(b[:4]) != routeTableMagic {
-		return nil, errors.New("torus: bad route-table magic")
-	}
-	r := &planReader{b: b, off: 4}
-	rt := &RouteTable{}
-	for d := 0; d < 3; d++ {
-		v := r.u32()
-		if r.err == nil && (v < 1 || v >= maxCoordVal) {
-			return nil, errors.New("torus: route-table dims out of range")
-		}
-		rt.Dims[d] = int(v)
-	}
-	rt.Epoch = r.u32()
-	nr := r.u32()
-	if r.err == nil && nr > maxPlanEntries {
-		return nil, fmt.Errorf("torus: route table claims %d routes", nr)
-	}
-	inBounds := func(c Coord) bool {
-		for d := 0; d < 3; d++ {
-			if c[d] < 0 || c[d] >= max1(rt.Dims[d]) {
-				return false
-			}
-		}
-		return true
-	}
-	for i := uint32(0); i < nr && r.err == nil; i++ {
-		rte := Route{Src: r.coord(), Dst: r.coord()}
-		nh := r.u32()
-		if r.err != nil {
-			break
-		}
-		if nh < 1 || nh > maxPlanEntries {
-			return nil, errors.New("torus: route hop count out of range")
-		}
-		for h := uint32(0); h < nh && r.err == nil; h++ {
-			rte.Hops = append(rte.Hops, r.coord())
-		}
-		if r.err != nil {
-			break
-		}
-		if !inBounds(rte.Src) || !inBounds(rte.Dst) || rte.Src == rte.Dst {
-			return nil, errors.New("torus: route endpoints invalid")
-		}
-		cur := rte.Src
-		for _, h := range rte.Hops {
-			if !inBounds(h) || !unitStep(cur, h, rt.Dims) {
-				return nil, errors.New("torus: route hop is not a unit torus step")
-			}
-			cur = h
-		}
-		if cur != rte.Dst {
-			return nil, errors.New("torus: route does not end at its destination")
-		}
-		if n := len(rt.Routes); n > 0 && !routeLess(rt.Routes[n-1], rte) {
-			return nil, errors.New("torus: routes not in canonical order")
-		}
-		rt.Routes = append(rt.Routes, rte)
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(b) {
-		return nil, errors.New("torus: trailing bytes after route table")
-	}
-	return rt, nil
-}
-
-// unitStep reports whether b is exactly one torus hop from a.
-func unitStep(a, b Coord, dims Coord) bool {
-	diff := -1
-	for d := 0; d < 3; d++ {
-		if a[d] == b[d] {
-			continue
-		}
-		if diff >= 0 || dims[d] <= 1 {
-			return false
-		}
-		n := dims[d]
-		if b[d] != (a[d]+1)%n && b[d] != (a[d]-1+n)%n {
-			return false
-		}
-		diff = d
-	}
-	return diff >= 0
-}
-
 // ---- armed fault state ----
 
 // End-to-end reliable-delivery parameters.
@@ -634,14 +506,6 @@ func (n *Network) RouteEpoch() uint32 {
 		return 0
 	}
 	return n.faults.epoch
-}
-
-// Routes returns the current route table (nil when unarmed).
-func (n *Network) Routes() *RouteTable {
-	if n.faults == nil {
-		return nil
-	}
-	return n.faults.routes
 }
 
 // DeadLinks counts directed links currently dead (node deaths included).

@@ -1,8 +1,9 @@
 #!/bin/sh
 # CI gate: vet, gofmt, build, the full test suite under the race detector,
 # the table of explicitly gated contracts (fuzz seed-corpus regressions
-# included), and a short live fuzz pass on each fuzz target. Run from the
-# repository root:
+# included), one iteration of the engine and control-system benchmarks,
+# and a short live fuzz pass on each fuzz target. Run from the repository
+# root:
 #
 #   ./scripts/ci.sh            # full gate
 #   FUZZTIME=0 ./scripts/ci.sh # skip the live fuzz pass (regressions still run)
@@ -49,9 +50,10 @@ fuzz seed-corpus regressions ; - ; ./internal/fs/ ./internal/ciod/ ./internal/io
 # replay.
 fault matrix ; - ; ./internal/machine/ ; TestFaultMatrix|TestRecoveryUnderFaultDeterminism|TestFaultsOffChangesNothing|TestCIODRetryExhaustionSurfacesEIO|TestCIODCrashRecovery
 
-# Control system: the parallel drain must be bit-identical to serial, a
-# reused machine must match a fresh one, and the boot-scaling table must
-# match its golden byte-for-byte. Every drain takes one path (the commit
+# Control system: the parallel drain must be bit-identical to serial (the
+# throughput experiment's render too, at 1/2/8 workers), a reused machine
+# must match a fresh one, and the boot-scaling table must match its golden
+# byte-for-byte. Every drain takes one path (the commit
 # pipeline) and every schedule one scheduler: ScheduleResilient must
 # equal the reference FIFO + EASY backfill over seeded queues,
 # journal-free drain state must last one Drain, and a journal must refuse
@@ -59,34 +61,41 @@ fault matrix ; - ; ./internal/machine/ ; TestFaultMatrix|TestRecoveryUnderFaultD
 control system: determinism + one drain path + boot golden ; race ; ./internal/ctrlsys/ ; TestParallelDrainMatchesSerial|TestScheduleResilientMatchesFIFOBackfill|TestScheduleFIFOBackfill|TestDrainTwiceWithoutJournal|TestQueueMismatchRejected
 control system: determinism + one drain path + boot golden ; - ; ./internal/machine/ ; TestRebootedMachineMatchesFresh
 control system: determinism + one drain path + boot golden ; - ; ./internal/experiments/ ; TestGolden/boot
+control system: determinism + one drain path + boot golden ; - ; ./internal/experiments/ ; TestRenderWorkerInvariance/throughput
 
 # Resilience: a checkpoint/restart run must be bit-identical to the
 # fault-free run (work signature + exit codes, both kernels), every fault
 # class must recover or fail with the typed budget error, and the mtbf
-# sweep must match its golden.
+# sweep (checkpointing on and off) must match its golden and render
+# identically at 1/2/8 workers.
 resilience: restart determinism + mtbf golden ; race ; ./internal/ctrlsys/ ; TestRestartDeterminism|TestResilienceFaultClassMatrix
 resilience: restart determinism + mtbf golden ; - ; ./internal/experiments/ ; TestGolden/mtbf
+resilience: restart determinism + mtbf golden ; - ; ./internal/experiments/ ; TestRenderWorkerInvariance/mtbf
 
 # Crash-only control system: every crash class x seed must recover to a
 # drain bit-identical to the crash-free one at 1/2/8 workers,
 # double-crash-during-recovery included; a crash with the journal off
 # must surface the typed ErrServiceNodeCrash next to any budget errors; a
 # recovered-then-rebooted machine must match a fresh one; and the
-# crash-rate sweep must match its golden.
+# crash-rate sweep must match its golden and render identically at 1/2/8
+# workers.
 crash-only service node: crash matrix + recovery + crashes golden ; race ; ./internal/ctrlsys/ ; TestCrashMatrixDeterminism|TestDoubleCrashDuringRecovery|TestServiceNodeCrashTyped|TestRecoverReplaysCompletedDrain|TestRecoverKillsOrphansAndScansLive|TestJournaledDrainMatchesDirect
 crash-only service node: crash matrix + recovery + crashes golden ; - ; ./internal/machine/ ; TestRecoveredMachineMatchesFresh
 crash-only service node: crash matrix + recovery + crashes golden ; - ; ./internal/experiments/ ; TestGolden/crashes
+crash-only service node: crash matrix + recovery + crashes golden ; - ; ./internal/experiments/ ; TestRenderWorkerInvariance/crashes
 
 # I/O-node aggregation: with the subsystem armed the whole machine must
 # be cycle-reproducible and survive reboot identically; the checkpointed
 # drain through the ION cache must restart bit-identically at 1/2/8
 # workers; an unarmed machine must be cycle-exact with the pre-ION
 # model; the ion_crash fault class must replay cycle-exactly; and the
-# ioscale sweep must match its golden.
+# ioscale sweep must match its golden and rerun every cell identically at
+# 1/2/8 workers.
 I/O-node aggregation: determinism + ion_crash + ioscale golden ; race ; ./internal/machine/ ; TestIONMachineDeterminism|TestIONRebootMatchesFresh|TestIONOffChangesNothing|TestSealCheckpointFlushesIONCache
 I/O-node aggregation: determinism + ion_crash + ioscale golden ; race ; ./internal/ctrlsys/ ; TestRestartDeterminismThroughIONCache
 I/O-node aggregation: determinism + ion_crash + ioscale golden ; - ; ./internal/machine/ ; TestFaultMatrix/.*/ion_crash
 I/O-node aggregation: determinism + ion_crash + ioscale golden ; - ; ./internal/experiments/ ; TestGolden/ioscale
+I/O-node aggregation: determinism + ion_crash + ioscale golden ; - ; ./internal/experiments/ ; TestRenderWorkerInvariance/ioscale
 
 # Fault-tolerant torus: the armed hard-fault matrix must replay
 # cycle-exactly and bit-identically at 1/2/8 workers; a plan with no hard
@@ -112,10 +121,12 @@ sim fast path: heap-vs-wheel differential + replica worker invariance ; race ; .
 # trace must be byte-identical across kernels x seeds x reruns and across
 # drain worker counts, the syscall ABI conformance table must hold with
 # its documented divergences, the cross-subsystem soak invariants must
-# hold, and the tracescale sweep must match its golden.
+# hold, and the tracescale sweep must match its golden and rerun every
+# cell identically at 1/2/8 workers.
 observability: inertness + trace determinism + conformance + soak + tracescale golden ; race ; ./internal/machine/ ; TestObsOffChangesNothing|TestObsArmedDeterminism|TestObsSurvivesClearJobsResetsOnReboot|TestSyscallConformance|TestSoak
 observability: inertness + trace determinism + conformance + soak + tracescale golden ; race ; ./internal/ctrlsys/ ; TestObsDrainWorkerInvariance|TestObsDrainResilientSpans
 observability: inertness + trace determinism + conformance + soak + tracescale golden ; - ; ./internal/experiments/ ; TestGolden/tracescale
+observability: inertness + trace determinism + conformance + soak + tracescale golden ; - ; ./internal/experiments/ ; TestRenderWorkerInvariance/tracescale
 
 # Coroutines on iter.Pull: a park/resume round trip allocates nothing, a
 # coroutine panic reaches the host with the engine idle and no goroutine
@@ -185,8 +196,10 @@ contracts | grep -v '^#' | grep -v '^[[:space:]]*$' | while IFS=';' read -r g ra
 	done
 done
 
-echo "== benchmark smoke (non-gating)"
-./scripts/bench.sh || echo "WARN: bench smoke failed (non-gating)"
+# One iteration of each engine and control-system benchmark, so one that
+# panics or fails fails CI. Host cost is measured by hostbench/, not here.
+echo "== benchmarks (one iteration each)"
+go test -run '^$' -bench . -benchtime 1x ./internal/sim/ ./internal/ctrlsys/
 
 if [ "$FUZZTIME" != "0" ]; then
 	echo "== live fuzzing ($FUZZTIME per target)"
