@@ -250,7 +250,7 @@ func TestIONAppendMultiProxy(t *testing.T) {
 // back to zero depth.
 func TestIONCrashFlushesEIOAndDropsCache(t *testing.T) {
 	r := newIONRig(1, ion.Config{QueueDepth: 4, CacheBlocks: 16})
-	inj := ras.NewInjector(r.eng, ras.NewLog(), ras.Plan{Seed: 7, IONCrashEvery: 4})
+	inj := ras.NewInjector(r.eng, ras.NewLog(nil), ras.Plan{Seed: 7, IONCrashEvery: 4})
 	r.srv.SetFaults(inj.Node(-1), 20_000)
 	cl := r.clients[0]
 	cl.SetRetryPolicy(DefaultRetryPolicy())

@@ -96,7 +96,7 @@ func newWorld(cfg Config) *world {
 	w := &world{
 		store: fs.New(),
 		inj:   ras.NewCrashInjector(cfg.Crashes),
-		log:   ras.NewLog(),
+		log:   ras.NewLog(nil),
 		st:    newDrainState(),
 	}
 	if cfg.Journal.Enabled {
@@ -623,7 +623,7 @@ func Recover(cfg Config, store *fs.FS, live []*Partition) (*ServiceNode, *Recove
 	s.w = &world{
 		store: store,
 		inj:   ras.NewCrashInjector(cfg.Crashes),
-		log:   ras.NewLog(),
+		log:   ras.NewLog(nil),
 		st:    newDrainState(),
 	}
 	// With a crash plan armed, recovery itself is a target. Each retry is

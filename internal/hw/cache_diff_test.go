@@ -243,7 +243,7 @@ func compareState(t *testing.T, step int, cs *CacheSim, rc *refCache) {
 // cacheFaults returns a DDR fault source with high ECC rates, so fills
 // exercise both the correctable stall and the uncorrectable event.
 func cacheFaults(seed uint64) (*ras.NodeFaults, *ras.Log) {
-	log := ras.NewLog()
+	log := ras.NewLog(nil)
 	plan := ras.Plan{Seed: seed, DDRCorrectable: 0.05, DDRUncorrectable: 0.01}
 	return ras.NewInjector(sim.NewEngine(), log, plan).Node(0), log
 }

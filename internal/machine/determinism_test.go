@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"bgcnk/internal/apps"
@@ -23,10 +24,12 @@ type detOutcome struct {
 	hash     uint64
 	counters upc.Snapshot
 	cycles   sim.Cycles
+	points   []uint64 // tracepoints emitted per chip
 }
 
 // detRun boots one machine, runs the named workload, and returns the
-// trace hash, merged counter snapshot, and final simulated time.
+// trace hash, merged counter snapshot, final simulated time and per-chip
+// tracepoint counts.
 func detRun(t *testing.T, kind KernelKind, workload string, traced bool) detOutcome {
 	t.Helper()
 	nodes := 1
@@ -76,11 +79,15 @@ func detRun(t *testing.T, kind KernelKind, workload string, traced bool) detOutc
 	if err := m.Run(body, kernel.JobParams{}, sim.FromSeconds(600)); err != nil {
 		t.Fatal(err)
 	}
-	return detOutcome{
+	out := detOutcome{
 		hash:     m.Eng.Trace().Hash(),
 		counters: m.MergedCounters(),
 		cycles:   m.Eng.Now(),
 	}
+	for _, ch := range m.Chips {
+		out.points = append(out.points, ch.UPC.Trace.Count())
+	}
+	return out
 }
 
 func TestDeterminismBattery(t *testing.T) {
@@ -100,16 +107,32 @@ func TestDeterminismBattery(t *testing.T) {
 				if a.cycles != b.cycles {
 					t.Errorf("simulated time differs: %d vs %d", a.cycles, b.cycles)
 				}
-				// Third run with every tracepoint category enabled: the ring
-				// feeds the trace hash (so that changes by design) but must
-				// not move simulated time or any counter.
+				// Two more runs with every tracepoint category enabled: the
+				// points feed the trace hash (so it differs from the untraced
+				// run by design) but must not move simulated time or any
+				// counter, and traced reruns must agree on hash and points.
 				c := detRun(t, kind, workload, true)
+				d := detRun(t, kind, workload, true)
 				if c.cycles != a.cycles {
 					t.Errorf("tracepoints perturbed simulated time: %d vs %d", c.cycles, a.cycles)
 				}
 				if c.counters != a.counters {
 					t.Errorf("tracepoints perturbed the counters:\n%s\nvs\n%s",
 						c.counters.Text(), a.counters.Text())
+				}
+				if c.hash != d.hash {
+					t.Errorf("traced trace hash differs across identical runs: %x vs %x", c.hash, d.hash)
+				}
+				if c.hash == a.hash {
+					t.Error("tracepoints did not reach the trace hash")
+				}
+				if !slices.Equal(c.points, d.points) {
+					t.Errorf("per-chip tracepoint counts differ across identical runs: %v vs %v", c.points, d.points)
+				}
+				for i, n := range c.points {
+					if n == 0 {
+						t.Errorf("chip %d emitted no tracepoints", i)
+					}
 				}
 			})
 		}

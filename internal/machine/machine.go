@@ -161,8 +161,7 @@ func New(cfg Config) (*Machine, error) {
 		}
 	}
 	if cfg.Faults.Enabled() {
-		m.RAS = ras.NewLog()
-		m.RAS.AttachTrace(m.Eng.Trace())
+		m.RAS = ras.NewLog(m.Eng.Trace())
 		m.inj = ras.NewInjector(m.Eng, m.RAS, *cfg.Faults)
 	}
 	m.Torus = torus.New(m.Eng, torus.DefaultConfig(dims))
@@ -350,12 +349,11 @@ func (m *Machine) IONStats() []ion.Stats {
 }
 
 // EnableTracepoints turns on the given tracepoint categories on every
-// node and mirrors emitted points into the engine trace, so the run's
+// node and folds emitted points into the engine trace, so the run's
 // reproducibility hash covers them. Recording costs no simulated cycles.
 func (m *Machine) EnableTracepoints(mask upc.Category) {
 	for _, ch := range m.Chips {
-		ch.UPC.Trace.AttachTrace(m.Eng.Trace())
-		ch.UPC.Trace.Enable(mask)
+		ch.UPC.Trace.Arm(m.Eng.Trace(), mask)
 	}
 }
 

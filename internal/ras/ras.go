@@ -16,7 +16,7 @@ package ras
 
 import (
 	"fmt"
-	"hash/fnv"
+	"strconv"
 	"strings"
 
 	"bgcnk/internal/sim"
@@ -83,23 +83,43 @@ type Log struct {
 	trace  *sim.Trace
 }
 
-// NewLog returns an empty log.
-func NewLog() *Log { return &Log{hash: 14695981039346656037} }
+// NewLog returns an empty log. A non-nil tr (the engine trace) also
+// receives every appended event, so the run's cycle-reproducibility hash
+// covers the fault schedule and the kernel's reactions to it.
+func NewLog(tr *sim.Trace) *Log { return &Log{hash: fnvOffset64, trace: tr} }
 
-// AttachTrace mirrors every appended event into tr, so the run's
-// cycle-reproducibility hash covers the fault schedule and the kernel's
-// reactions to it.
-func (l *Log) AttachTrace(tr *sim.Trace) { l.trace = tr }
+// FNV-1a 64 (hash/fnv's offset basis and prime), inlined so digest
+// allocates nothing.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// digest is the FNV-1a hash of the event's text form "%d|%d|%s|%d|%s"
+// (time rebased to base, node, component, class, detail), built without
+// fmt.
+func digest(e *Event, base sim.Cycles) uint64 {
+	var buf [128]byte
+	b := strconv.AppendUint(buf[:0], uint64(e.At-base), 10)
+	b = strconv.AppendInt(append(b, '|'), int64(e.Node), 10)
+	b = append(append(append(b, '|'), e.Comp...), '|')
+	b = strconv.AppendUint(b, uint64(e.Class), 10)
+	b = append(append(b, '|'), e.Detail...)
+	h := uint64(fnvOffset64)
+	for _, c := range b {
+		h = (h ^ uint64(c)) * fnvPrime64
+	}
+	return h
+}
 
 // Append records an event.
 func (l *Log) Append(e Event) {
 	l.events = append(l.events, e)
 	l.counts[e.Class]++
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%d|%s|%d|%s", uint64(e.At), e.Node, e.Comp, e.Class, e.Detail)
-	l.hash = l.hash*1099511628211 ^ h.Sum64()
+	d := digest(&e, 0)
+	l.hash = l.hash*fnvPrime64 ^ d
 	if l.trace != nil {
-		l.trace.Record(e.At, "ras", fmt.Sprintf("node %d %s %s: %s", e.Node, e.Comp, e.Class, e.Detail))
+		l.trace.RecordWords(e.At, "ras", d)
 	}
 }
 
@@ -123,11 +143,10 @@ func (l *Log) CountSince(m Mark) uint64 { return uint64(len(l.events) - int(m)) 
 // fresh one — the reboot shifts every timestamp. Two time-shifted but
 // otherwise identical event sequences HashSince-equal.
 func (l *Log) HashSince(m Mark, base sim.Cycles) uint64 {
-	hash := uint64(14695981039346656037)
-	for _, e := range l.events[m:] {
-		h := fnv.New64a()
-		fmt.Fprintf(h, "%d|%d|%s|%d|%s", uint64(e.At-base), e.Node, e.Comp, e.Class, e.Detail)
-		hash = hash*1099511628211 ^ h.Sum64()
+	hash := uint64(fnvOffset64)
+	events := l.events[m:]
+	for i := range events {
+		hash = hash*fnvPrime64 ^ digest(&events[i], base)
 	}
 	return hash
 }

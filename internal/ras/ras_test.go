@@ -1,6 +1,8 @@
 package ras
 
 import (
+	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 
@@ -10,7 +12,7 @@ import (
 // drawAll exercises every site on two nodes and returns the log hash.
 func drawAll(seed uint64) uint64 {
 	eng := sim.NewEngine()
-	l := NewLog()
+	l := NewLog(nil)
 	in := NewInjector(eng, l, Plan{
 		Seed: seed, DDRCorrectable: 0.2, DDRUncorrectable: 0.05,
 		TLBParity: 0.1, LinkCRC: 0.3, CIODDrop: 0.4, CIODCrashEvery: 3,
@@ -40,8 +42,8 @@ func TestScheduleDeterministic(t *testing.T) {
 func TestStreamsIndependentOfCreationOrder(t *testing.T) {
 	eng := sim.NewEngine()
 	plan := Plan{Seed: 3, LinkCRC: 0.5}
-	a := NewInjector(eng, NewLog(), plan)
-	b := NewInjector(eng, NewLog(), plan)
+	a := NewInjector(eng, NewLog(nil), plan)
+	b := NewInjector(eng, NewLog(nil), plan)
 	a.Node(0)
 	a.Node(5)
 	b.Node(5) // reversed creation order
@@ -55,7 +57,7 @@ func TestStreamsIndependentOfCreationOrder(t *testing.T) {
 
 func TestResetRewindsSchedule(t *testing.T) {
 	eng := sim.NewEngine()
-	in := NewInjector(eng, NewLog(), Plan{Seed: 11, DDRUncorrectable: 0.3, CIODCrashEvery: 2})
+	in := NewInjector(eng, NewLog(nil), Plan{Seed: 11, DDRUncorrectable: 0.3, CIODCrashEvery: 2})
 	f := in.Node(0)
 	var first []bool
 	for i := 0; i < 30; i++ {
@@ -75,7 +77,7 @@ func TestResetRewindsSchedule(t *testing.T) {
 }
 
 func TestLogTableAndCounts(t *testing.T) {
-	l := NewLog()
+	l := NewLog(nil)
 	if got := l.Table(); got != "no RAS events\n" {
 		t.Fatalf("empty table: %q", got)
 	}
@@ -97,11 +99,73 @@ func TestLogTableAndCounts(t *testing.T) {
 func TestAttachTraceMirrorsEvents(t *testing.T) {
 	tr := sim.NewTrace()
 	before := tr.Hash()
-	l := NewLog()
-	l.AttachTrace(tr)
+	l := NewLog(tr)
 	l.Append(Event{Node: 2, Comp: "torus", Class: LinkCRC})
-	if tr.Hash() == before {
+	if tr.Hash() == before || tr.Count() != 1 {
 		t.Fatal("RAS events must feed the reproducibility trace hash")
+	}
+	again := sim.NewTrace()
+	NewLog(again).Append(Event{Node: 2, Comp: "torus", Class: LinkCRC, Detail: "x"})
+	if again.Hash() == tr.Hash() {
+		t.Fatal("the mirrored record must cover the event's detail")
+	}
+}
+
+// fmtHash is the reference formulation of the log digest: FNV-1a over
+// each event's "%d|%d|%s|%d|%s" text, folded in order.
+func fmtHash(events []Event, base sim.Cycles) uint64 {
+	hash := uint64(14695981039346656037)
+	for _, e := range events {
+		h := fnv.New64a()
+		fmt.Fprintf(h, "%d|%d|%s|%d|%s", uint64(e.At-base), e.Node, e.Comp, e.Class, e.Detail)
+		hash = hash*1099511628211 ^ h.Sum64()
+	}
+	return hash
+}
+
+// TestDigestMatchesFmt holds Hash and HashSince byte-identical to the fmt
+// formulation over a seeded fault run: every site drawn on compute and
+// I/O nodes (negative IDs) at spread-out cycles, plus reaction events.
+func TestDigestMatchesFmt(t *testing.T) {
+	eng := sim.NewEngine()
+	defer eng.Shutdown()
+	l := NewLog(eng.Trace())
+	in := NewInjector(eng, l, Plan{
+		Seed: 42, DDRCorrectable: 0.2, DDRUncorrectable: 0.05,
+		TLBParity: 0.1, LinkCRC: 0.3, CIODDrop: 0.4, CIODCrashEvery: 3,
+	})
+	rng := sim.NewRNG(5)
+	for i := 0; i < 200; i++ {
+		f := in.Node([]int{0, 3, 17, -1, -2}[i%5])
+		eng.At(rng.Cycles(1<<40), func() {
+			f.DDRAccess()
+			f.TLBParity()
+			f.LinkRetransmits("torus")
+			f.ReplyDrop()
+			if f.CrashDue() {
+				f.Report(JobKill, "cnk", "job terminated after daemon loss")
+			}
+		})
+	}
+	eng.RunUntilIdle()
+	events := l.Events()
+	if len(events) < 100 {
+		t.Fatalf("fault run logged only %d events", len(events))
+	}
+	if n := testing.AllocsPerRun(100, func() { digest(&events[0], 0) }); n != 0 {
+		t.Fatalf("digest allocates %v times", n)
+	}
+	if got, want := l.Hash(), fmtHash(events, 0); got != want {
+		t.Fatalf("Hash %016x, fmt formulation %016x", got, want)
+	}
+	for _, m := range []int{0, 1, len(events) / 3, len(events) - 1, len(events)} {
+		var base sim.Cycles
+		if m < len(events) {
+			base = events[m].At
+		}
+		if got, want := l.HashSince(Mark(m), base), fmtHash(events[m:], base); got != want {
+			t.Fatalf("HashSince(%d, %d) %016x, fmt formulation %016x", m, base, got, want)
+		}
 	}
 }
 

@@ -23,7 +23,6 @@ func benchBoth(b *testing.B, fn func(b *testing.B, kind SchedulerKind)) {
 func BenchmarkSchedule(b *testing.B) {
 	benchBoth(b, func(b *testing.B, kind SchedulerKind) {
 		e := NewEngineWith(EngineConfig{Scheduler: kind})
-		e.Trace().SetEnabled(false)
 		rng := NewRNG(1)
 		nop := func() {}
 		b.ResetTimer()
@@ -42,7 +41,6 @@ func BenchmarkSchedule(b *testing.B) {
 func BenchmarkStepDense(b *testing.B) {
 	benchBoth(b, func(b *testing.B, kind SchedulerKind) {
 		e := NewEngineWith(EngineConfig{Scheduler: kind})
-		e.Trace().SetEnabled(false)
 		rng := NewRNG(2)
 		var tick func()
 		tick = func() { e.After(rng.Cycles(4), tick) }
@@ -62,7 +60,6 @@ func BenchmarkStepDense(b *testing.B) {
 func BenchmarkStepSparse(b *testing.B) {
 	benchBoth(b, func(b *testing.B, kind SchedulerKind) {
 		e := NewEngineWith(EngineConfig{Scheduler: kind})
-		e.Trace().SetEnabled(false)
 		rng := NewRNG(3)
 		var tick func()
 		tick = func() { e.After(1+rng.Cycles(1_000_000_000), tick) }
@@ -76,7 +73,7 @@ func BenchmarkStepSparse(b *testing.B) {
 	})
 }
 
-// BenchmarkTraceRecord measures the trace hot path (hash + ring append);
+// BenchmarkTraceRecord measures the trace hot path (the text hash);
 // it must stay allocation-free.
 func BenchmarkTraceRecord(b *testing.B) {
 	b.ReportAllocs()

@@ -9,15 +9,38 @@ import (
 // identical observable behaviour.
 var schedKinds = []SchedulerKind{SchedHeap, SchedWheel}
 
+// entry is one trace record, kept test-side so a divergence can be
+// reported as the first differing record.
+type entry struct {
+	at          Cycles
+	tag, detail string
+}
+
+// recorder records into the engine trace and keeps a copy of each entry.
+type recorder struct {
+	e       *Engine
+	entries []entry
+}
+
+func (r *recorder) record(at Cycles, tag, detail string) {
+	r.e.Trace().Record(at, tag, detail)
+	r.entries = append(r.entries, entry{at, tag, detail})
+}
+
 // workloadResult captures everything observable about a run: the trace
-// hash (covering every recorded event in order), the retained entries,
-// the final clock, and the number of events executed.
+// hash (covering every recorded event in order), the entries, the final
+// clock, and the number of events executed.
 type workloadResult struct {
 	hash    uint64
 	count   uint64
 	end     Cycles
 	nevents int
-	entries []TraceEntry
+	entries []entry
+}
+
+func (r *recorder) result(nevents int) workloadResult {
+	return workloadResult{hash: r.e.Trace().Hash(), count: r.e.Trace().Count(),
+		end: r.e.Now(), nevents: nevents, entries: r.entries}
 }
 
 func sameResult(t *testing.T, label string, a, b workloadResult) {
@@ -27,11 +50,11 @@ func sameResult(t *testing.T, label string, a, b workloadResult) {
 			label, a.hash, b.hash, a.count, b.count, a.end, b.end, a.nevents, b.nevents)
 	}
 	if len(a.entries) != len(b.entries) {
-		t.Fatalf("%s: retained %d vs %d trace entries", label, len(a.entries), len(b.entries))
+		t.Fatalf("%s: recorded %d vs %d trace entries", label, len(a.entries), len(b.entries))
 	}
 	for i := range a.entries {
 		if a.entries[i] != b.entries[i] {
-			t.Fatalf("%s: trace entry %d differs:\n  heap:  %v\n  wheel: %v",
+			t.Fatalf("%s: trace entry %d differs:\n  heap:  %+v\n  wheel: %+v",
 				label, i, a.entries[i], b.entries[i])
 		}
 	}
@@ -44,6 +67,7 @@ func sameResult(t *testing.T, label string, a, b workloadResult) {
 // a total order witness.
 func runRandomEvents(kind SchedulerKind, seed uint64) workloadResult {
 	e := NewEngineWith(EngineConfig{Scheduler: kind})
+	rec := &recorder{e: e}
 	rng := NewRNG(seed)
 	id := 0
 	var schedule func(depth int)
@@ -64,7 +88,7 @@ func runRandomEvents(kind SchedulerKind, seed uint64) workloadResult {
 			d = Cycles(1)<<32 + Cycles(rng.Intn(1<<30)) // overflow horizon
 		}
 		e.After(d, func() {
-			e.Trace().Record(e.Now(), "ev", fmt.Sprintf("id%d", me))
+			rec.record(e.Now(), "ev", fmt.Sprintf("id%d", me))
 			if depth > 0 && rng.Intn(3) > 0 {
 				schedule(depth - 1)
 				if rng.Intn(4) == 0 {
@@ -79,13 +103,9 @@ func runRandomEvents(kind SchedulerKind, seed uint64) workloadResult {
 	// Bursts at one instant exercise batch dispatch FIFO.
 	for i := 0; i < 64; i++ {
 		i := i
-		e.At(500, func() { e.Trace().Record(e.Now(), "burst", fmt.Sprintf("b%d", i)) })
+		e.At(500, func() { rec.record(e.Now(), "burst", fmt.Sprintf("b%d", i)) })
 	}
-	n := e.RunUntilIdle()
-	return workloadResult{
-		hash: e.Trace().Hash(), count: e.Trace().Count(), end: e.Now(),
-		nevents: n, entries: e.Trace().Entries(),
-	}
+	return rec.result(e.RunUntilIdle())
 }
 
 // runRandomCoros replays a seeded coroutine workload: sleepers, parkers
@@ -93,6 +113,7 @@ func runRandomEvents(kind SchedulerKind, seed uint64) workloadResult {
 // the full resume/yield machinery on top of the scheduler under test.
 func runRandomCoros(kind SchedulerKind, seed uint64) workloadResult {
 	e := NewEngineWith(EngineConfig{Scheduler: kind})
+	rec := &recorder{e: e}
 	rng := NewRNG(seed)
 	var coros []*Coro
 	for i := 0; i < 8; i++ {
@@ -105,7 +126,7 @@ func runRandomCoros(kind SchedulerKind, seed uint64) workloadResult {
 					c.Sleep(1 + r.Cycles(2000))
 				case 1:
 					reason := c.Park(1 + r.Cycles(500))
-					e.Trace().Record(c.Now(), c.Name(), "woke "+reason.String())
+					rec.record(c.Now(), c.Name(), "woke "+reason.String())
 				case 2:
 					if len(coros) > 0 {
 						coros[r.Intn(len(coros))].Wake()
@@ -114,16 +135,12 @@ func runRandomCoros(kind SchedulerKind, seed uint64) workloadResult {
 				default:
 					c.Sleep(r.Cycles(5))
 				}
-				e.Trace().Record(c.Now(), c.Name(), fmt.Sprintf("step%d", j))
+				rec.record(c.Now(), c.Name(), fmt.Sprintf("step%d", j))
 			}
 		})
 		coros = append(coros, c)
 	}
-	n := e.RunUntilIdle()
-	out := workloadResult{
-		hash: e.Trace().Hash(), count: e.Trace().Count(), end: e.Now(),
-		nevents: n, entries: e.Trace().Entries(),
-	}
+	out := rec.result(e.RunUntilIdle())
 	e.Shutdown()
 	return out
 }
@@ -133,6 +150,7 @@ func runRandomCoros(kind SchedulerKind, seed uint64) workloadResult {
 // lookahead) against the heap's.
 func runSegmented(kind SchedulerKind, seed uint64) workloadResult {
 	e := NewEngineWith(EngineConfig{Scheduler: kind})
+	rec := &recorder{e: e}
 	rng := NewRNG(seed)
 	for i := 0; i < 300; i++ {
 		i := i
@@ -140,7 +158,7 @@ func runSegmented(kind SchedulerKind, seed uint64) workloadResult {
 		if i%17 == 0 {
 			d = Cycles(1)<<33 + Cycles(rng.Intn(1000))
 		}
-		e.At(d, func() { e.Trace().Record(e.Now(), "seg", fmt.Sprintf("s%d", i)) })
+		e.At(d, func() { rec.record(e.Now(), "seg", fmt.Sprintf("s%d", i)) })
 	}
 	n := 0
 	limit := Cycles(0)
@@ -148,10 +166,7 @@ func runSegmented(kind SchedulerKind, seed uint64) workloadResult {
 		limit += 1 + Cycles(rng.Intn(50_000_000))
 		n += e.Run(limit)
 	}
-	return workloadResult{
-		hash: e.Trace().Hash(), count: e.Trace().Count(), end: e.Now(),
-		nevents: n, entries: e.Trace().Entries(),
-	}
+	return rec.result(n)
 }
 
 // TestDifferentialSchedulers is the scheduler substitution proof at the
@@ -209,18 +224,17 @@ func TestDifferentialHorizonSweep(t *testing.T) {
 		1<<24 - 1, 1 << 24, 1<<24 + 1, 1<<32 - 1, 1 << 32, 1<<32 + 1, 1 << 40}
 	run := func(kind SchedulerKind) workloadResult {
 		e := NewEngineWith(EngineConfig{Scheduler: kind})
+		rec := &recorder{e: e}
 		for round := 0; round < 3; round++ {
 			base := Cycles(round) * 7919
 			for i, d := range deltas {
 				i, d := i, d
 				e.At(base+d, func() {
-					e.Trace().Record(e.Now(), "sweep", fmt.Sprintf("r%dd%d", round, i))
+					rec.record(e.Now(), "sweep", fmt.Sprintf("r%dd%d", round, i))
 				})
 			}
 		}
-		n := e.RunUntilIdle()
-		return workloadResult{hash: e.Trace().Hash(), count: e.Trace().Count(),
-			end: e.Now(), nevents: n, entries: e.Trace().Entries()}
+		return rec.result(e.RunUntilIdle())
 	}
 	sameResult(t, "horizon sweep", run(SchedHeap), run(SchedWheel))
 }

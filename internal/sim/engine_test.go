@@ -310,31 +310,28 @@ func TestTraceHashSensitivity(t *testing.T) {
 	if a.Hash() == c.Hash() {
 		t.Fatal("detail must affect hash")
 	}
-}
-
-func TestTraceRingBounded(t *testing.T) {
-	tr := NewTrace()
-	for i := 0; i < 10000; i++ {
-		tr.Record(Cycles(i), "t", "d")
+	w := NewTrace()
+	w.RecordWords(10, "x", 1, 2)
+	for _, o := range []func(*Trace){
+		func(o *Trace) { o.RecordWords(11, "x", 1, 2) },
+		func(o *Trace) { o.RecordWords(10, "y", 1, 2) },
+		func(o *Trace) { o.RecordWords(10, "x", 2, 1) },
+		func(o *Trace) { o.RecordWords(10, "x", 1, 2, 0) },
+	} {
+		other := NewTrace()
+		o(other)
+		if other.Hash() == w.Hash() {
+			t.Fatal("time, tag and every word must affect the typed hash")
+		}
 	}
-	if len(tr.Entries()) != 4096 {
-		t.Fatalf("ring size %d, want 4096", len(tr.Entries()))
+	if w.Count() != 1 || a.Count() != 1 || b.Count() != 2 {
+		t.Fatalf("counts %d/%d/%d, want 1/1/2", w.Count(), a.Count(), b.Count())
 	}
-	if tr.Count() != 10000 {
-		t.Fatalf("count %d, want 10000", tr.Count())
-	}
-	if tr.Entries()[0].At != Cycles(10000-4096) {
-		t.Fatalf("oldest retained entry at %d", tr.Entries()[0].At)
-	}
-}
-
-func TestTraceDisabled(t *testing.T) {
-	tr := NewTrace()
-	h0 := tr.Hash()
-	tr.SetEnabled(false)
-	tr.Record(1, "t", "d")
-	if tr.Hash() != h0 || tr.Count() != 0 {
-		t.Fatal("disabled trace must not record")
+	if n := testing.AllocsPerRun(100, func() {
+		w.Record(12, "core0", "tracepoint")
+		w.RecordWords(12, "upc", 1, 2, 3)
+	}); n != 0 {
+		t.Fatalf("recording allocates %v times", n)
 	}
 }
 

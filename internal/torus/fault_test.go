@@ -353,7 +353,7 @@ func TestNodeFailKillsInterface(t *testing.T) {
 func TestRasLogsHardFaults(t *testing.T) {
 	eng := sim.NewEngine()
 	net := New(eng, DefaultConfig(Coord{3, 1, 1}))
-	log := ras.NewLog()
+	log := ras.NewLog(nil)
 	inj := ras.NewInjector(eng, log, ras.Plan{Seed: 1})
 	for i := 0; i < 3; i++ {
 		chip := hw.NewChip(hw.ChipConfig{ID: i})
@@ -400,7 +400,7 @@ func TestRetransExtendsLinkReservation(t *testing.T) {
 	// out by the first transfer's penalty, not just its clean serialization.
 	eng := sim.NewEngine()
 	net := New(eng, DefaultConfig(Coord{2, 1, 1}))
-	log := ras.NewLog()
+	log := ras.NewLog(nil)
 	inj := ras.NewInjector(eng, log, ras.Plan{Seed: 3, LinkCRC: 0.999})
 	chips := make([]*hw.Chip, 2)
 	ifcs := make([]*Interface, 2)

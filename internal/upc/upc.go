@@ -1,6 +1,7 @@
 // Package upc models the Blue Gene/P Universal Performance Counter unit:
-// a queryable, zero-allocation counter block plus a bounded tracepoint
-// ring, threaded through every layer that charges simulated cycles.
+// a queryable, zero-allocation counter block plus masked tracepoints that
+// fold into the engine's trace hash, threaded through every layer that
+// charges simulated cycles.
 //
 // The real chip ships a UPC unit precisely because CNK's
 // cycle-reproducible execution makes counters trustworthy: the same run
@@ -15,9 +16,11 @@
 //   - Incrementing a counter on the hot path allocates nothing: the Set is
 //     fixed-size arrays indexed by (core slot, counter id).
 //   - Tracepoints cost nothing when their category is disabled (one mask
-//     test), and when enabled they never advance simulated time — they
-//     record, they do not Sleep — so enabling observability cannot perturb
-//     a run's cycle totals (no Heisenberg effects).
+//     test). When enabled they are counted and folded into the engine
+//     trace hash without allocating or retaining anything, and they never
+//     advance simulated time — they record, they do not Sleep — so
+//     enabling observability cannot perturb a run's cycle totals (no
+//     Heisenberg effects).
 //   - Snapshots are comparable values: two runs replayed from the same
 //     seeds yield snapshots that compare equal with ==.
 package upc

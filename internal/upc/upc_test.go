@@ -103,70 +103,55 @@ func TestTextAndJSONRendering(t *testing.T) {
 	}
 }
 
-func TestRingMaskAndBounds(t *testing.T) {
-	var r Ring
-	// Disabled: emit is a no-op.
-	r.Emit(EvTick, 0, 100, 0)
-	if r.Count() != 0 || r.Hash() != 0 {
-		t.Fatal("disabled tracepoint must record nothing")
-	}
-	r.Enable(CatIRQ)
-	if !r.Enabled(EvTick) || r.Enabled(EvCtxSwitch) {
-		t.Fatal("mask must gate by category")
-	}
-	r.Emit(EvTick, 1, 200, 7)
-	r.Emit(EvCtxSwitch, 1, 201, 0) // CatSched still off
-	if r.Count() != 1 {
-		t.Fatalf("count = %d, want 1", r.Count())
-	}
-	pts := r.Points()
-	if len(pts) != 1 || pts[0].Event != EvTick || pts[0].Core != 1 || pts[0].Arg != 7 {
-		t.Fatalf("points = %+v", pts)
-	}
-
-	// Bounded: emitting beyond RingCap evicts oldest but keeps counting.
-	r.Reset()
-	r.Enable(CatAll)
-	for i := 0; i < RingCap+10; i++ {
-		r.Emit(EvTick, 0, sim.Cycles(i), uint64(i))
-	}
-	if r.Count() != RingCap+10 {
-		t.Fatalf("count = %d, want %d", r.Count(), RingCap+10)
-	}
-	pts = r.Points()
-	if len(pts) != RingCap {
-		t.Fatalf("retained = %d, want %d", len(pts), RingCap)
-	}
-	if pts[0].Arg != 10 || pts[len(pts)-1].Arg != RingCap+9 {
-		t.Fatalf("ring order wrong: first=%d last=%d", pts[0].Arg, pts[len(pts)-1].Arg)
-	}
-}
-
-func TestRingHashDeterminism(t *testing.T) {
-	run := func() uint64 {
-		var r Ring
-		r.Enable(CatAll)
-		for i := 0; i < 100; i++ {
-			r.Emit(Event(i%int(NumEvents)), i%4, sim.Cycles(i*13), uint64(i))
-		}
-		return r.Hash()
-	}
-	if run() != run() {
-		t.Fatal("identical emit sequences must hash identically")
-	}
-}
-
+// TestRingFeedsSimTrace holds the tracepoint gate: a disarmed or
+// masked-off point records nothing, and every point that passes the mask
+// is counted and folded into the engine trace, allocation-free.
 func TestRingFeedsSimTrace(t *testing.T) {
 	tr := sim.NewTrace()
 	base := tr.Hash()
 	var r Ring
-	r.AttachTrace(tr)
-	r.Enable(CatAll)
-	r.Emit(EvShipCall, 2, 500, 3)
-	if tr.Hash() == base {
-		t.Fatal("enabled tracepoint must feed the sim trace hash")
+	r.Emit(EvTick, 0, 100, 0) // disarmed
+	r.Arm(tr, CatIRQ)
+	r.Emit(EvCtxSwitch, 1, 201, 0) // CatSched still off
+	if r.Count() != 0 || tr.Hash() != base || tr.Count() != 0 {
+		t.Fatal("disabled tracepoint must record nothing")
 	}
-	if tr.Count() != 1 {
-		t.Fatalf("trace count = %d, want 1", tr.Count())
+	r.Emit(EvTick, 1, 200, 7)
+	if r.Count() != 1 || tr.Count() != 1 || tr.Hash() == base {
+		t.Fatalf("enabled tracepoint: ring count %d, trace count %d", r.Count(), tr.Count())
+	}
+	r.Arm(tr, CatAll)
+	r.Emit(EvShipCall, 2, 500, 3)
+	if r.Count() != 2 || tr.Count() != 2 {
+		t.Fatalf("arming must OR into the mask: ring count %d", r.Count())
+	}
+	// Each of event, core, cycle and arg reaches the hash.
+	emit := func(ev Event, core int, cycle sim.Cycles, arg uint64) uint64 {
+		tr := sim.NewTrace()
+		var r Ring
+		r.Arm(tr, CatAll)
+		r.Emit(ev, core, cycle, arg)
+		return tr.Hash()
+	}
+	ref := emit(EvShipCall, 2, 500, 3)
+	if ref != emit(EvShipCall, 2, 500, 3) {
+		t.Fatal("identical points must hash identically")
+	}
+	for _, h := range []uint64{emit(EvCollSend, 2, 500, 3), emit(EvShipCall, 1, 500, 3),
+		emit(EvShipCall, 2, 501, 3), emit(EvShipCall, 2, 500, 4)} {
+		if h == ref {
+			t.Fatal("every tracepoint field must affect the trace hash")
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { r.Emit(EvSyscall, 0, 9, 1) }); n != 0 {
+		t.Fatalf("Emit allocates %v times", n)
+	}
+	r.Reset()
+	if r.Count() != 0 {
+		t.Fatal("Reset must clear the count")
+	}
+	r.Emit(EvTick, 0, 1, 0)
+	if r.Count() != 1 {
+		t.Fatal("the mask must survive Reset")
 	}
 }

@@ -151,6 +151,15 @@ fixed job cost: event-driven daemons + zero-alloc wheel + 32-bit tags ; - ; ./in
 # it once leaked.
 goroutine-leak gate ; race ; ./internal/leakgate/ ; TestLeakGateSeesUnshutEngine
 goroutine-leak gate ; - ; ./internal/experiments/ ; TestRunBoot|TestGolden/boot
+
+# One reproducibility stream: the engine trace hash is the only record of
+# a run. Traced reruns must agree on that hash and on every chip's
+# tracepoint count, and must differ from the untraced run; a tracepoint
+# that passes the mask must reach the hash, allocation-free; and the RAS
+# digest must stay byte-identical to its fmt formulation.
+one reproducibility stream ; race ; ./internal/machine/ ; TestDeterminismBattery
+one reproducibility stream ; - ; ./internal/upc/ ; TestRingFeedsSimTrace
+one reproducibility stream ; - ; ./internal/ras/ ; TestDigestMatchesFmt
 TABLE
 }
 
