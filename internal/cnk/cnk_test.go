@@ -28,15 +28,22 @@ func node(t *testing.T, cfg Config) (*sim.Engine, *Kernel, *fs.FS) {
 	return eng, k, filesystem
 }
 
-// run launches the job and drives the engine until idle.
+// run launches the job, drives the engine until idle and shuts it down.
 func run(t *testing.T, eng *sim.Engine, k *Kernel, spec JobSpec) *Job {
+	t.Helper()
+	defer eng.Shutdown()
+	return drive(t, eng, k, spec)
+}
+
+// drive launches the job and drives the engine until idle, leaving the
+// engine up for another job.
+func drive(t *testing.T, eng *sim.Engine, k *Kernel, spec JobSpec) *Job {
 	t.Helper()
 	job, err := k.Launch(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng.RunUntilIdle()
-	eng.Shutdown()
 	if !job.Done() {
 		t.Fatal("job did not finish (deadlock?)")
 	}
@@ -628,8 +635,9 @@ func TestMmapFileCopyInReadOnly(t *testing.T) {
 
 func TestPersistentMemoryAcrossJobs(t *testing.T) {
 	eng, k, _ := node(t, Config{})
+	defer eng.Shutdown()
 	var va1, va2 uint64
-	run(t, eng, k, JobSpec{
+	drive(t, eng, k, JobSpec{
 		Main: func(ctx kernel.Context, rank int) {
 			name := writeString(ctx, k, 0, "table")
 			va, errno := ctx.Syscall(kernel.SysPersistOpen, uint64(name), 1<<20)

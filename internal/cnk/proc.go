@@ -18,6 +18,10 @@ type Proc struct {
 	GID  uint32
 
 	Layout *mem.ProcLayout
+	// tlbMap is Layout rendered once, at launch, as this process's
+	// pinned TLB entries: the static map every assigned or lent core
+	// installs, and parity recovery reinstalls from.
+	tlbMap []hw.TLBEntry
 	Mmap   *mem.MmapTracker
 	Brk    *mem.Brk
 	Sig    kernel.SignalTable
@@ -171,12 +175,13 @@ func (k *Kernel) Launch(spec JobSpec) (*Job, error) {
 		stackReserve := hw.VAddr(hs.Covered / 8)
 		p.Mmap = mem.NewMmapTracker(arenaLo, p.Layout.StackTop-stackReserve, 4096)
 		p.Brk = mem.NewBrk(p.Layout.HeapBase, arenaLo)
+		p.tlbMap = p.Layout.TLBEntries(p.PID)
 		for c := 0; c < coresPerProc; c++ {
 			p.cores = append(p.cores, k.cores[i*coresPerProc+c])
 		}
 		// Install the static map on every core assigned to the process.
 		for _, cs := range p.cores {
-			for _, e := range p.Layout.TLBEntries(p.PID) {
+			for _, e := range p.tlbMap {
 				cs.core.TLB.InsertPinned(e)
 			}
 		}
@@ -325,7 +330,7 @@ func (k *Kernel) LendCore(coreID int, from, to *Proc) error {
 	cs.lentTo = to.PID
 	to.remoteCores = append(to.remoteCores, cs)
 	// The remote process's static map must be visible on the lent core.
-	for _, e := range to.Layout.TLBEntries(to.PID) {
+	for _, e := range to.tlbMap {
 		cs.core.TLB.InsertPinned(e)
 	}
 	k.trace(k.Eng.Now(), fmt.Sprintf("core %d lent from pid %d to pid %d", coreID, from.PID, to.PID))

@@ -93,10 +93,9 @@ func (s *ServiceNode) Drain(jobs []Job) (*DrainResult, error) {
 // order, and computes the control-time schedule. res.Results must be
 // fully populated (one entry per job, in job-ID order).
 func (s *ServiceNode) mergeResults(res *DrainResult, jobs []Job) {
-	snaps := make([]upc.Snapshot, 0, len(jobs))
 	hash := uint64(14695981039346656037)
 	for _, r := range res.Results {
-		snaps = append(snaps, r.Counters)
+		res.Merged.Add(&r.Counters)
 		res.RASEvents += r.RASEvents
 		hash = hash*1099511628211 ^ r.RASHash
 		res.Restarts += r.Restarts
@@ -118,7 +117,6 @@ func (s *ServiceNode) mergeResults(res *DrainResult, jobs []Job) {
 		}
 	}
 	res.RASHash = hash
-	res.Merged = upc.Merge(snaps...)
 	res.Sched = ScheduleResilient(s.topo, jobs, res.Results, s.cfg.Ckpt.normalized())
 }
 

@@ -1,6 +1,8 @@
 package hw
 
 import (
+	"sync"
+
 	"bgcnk/internal/ras"
 	"bgcnk/internal/sim"
 	"bgcnk/internal/upc"
@@ -90,6 +92,10 @@ const l3PageSets = 64
 
 type l3Page [l3PageSets]cacheSet
 
+// l3PagePool holds zeroed L3 pages shared by every CacheSim; a released
+// chip returns its pages here (see releaseL3Pages).
+var l3PagePool = sync.Pool{New: func() any { return new(l3Page) }}
+
 // CacheSim is the chip's memory-hierarchy cost model: private L1 per core,
 // a shared 8MB L3, and DDR with a refresh window. It is a deterministic
 // state machine: given the same access stream it produces the same costs,
@@ -150,14 +156,17 @@ type CacheSim struct {
 
 // NewCacheSim builds the hierarchy for a chip with cores cores.
 func NewCacheSim(cores int) *CacheSim {
-	cs := &CacheSim{
-		l1:          make([][L1Sets]cacheSet, cores),
-		parityArm:   make([]bool, cores),
-		L1Hits:      make([]uint64, cores),
-		L1Misses:    make([]uint64, cores),
-		StoreMisses: make([]uint64, cores),
-	}
+	cs := &CacheSim{}
+	cs.init(cores)
 	return cs
+}
+
+func (cs *CacheSim) init(cores int) {
+	cs.l1 = make([][L1Sets]cacheSet, cores)
+	cs.parityArm = make([]bool, cores)
+	cs.L1Hits = make([]uint64, cores)
+	cs.L1Misses = make([]uint64, cores)
+	cs.StoreMisses = make([]uint64, cores)
 }
 
 // SetL3Mapping reconfigures the L3 bank mapping (a bringup control flag;
@@ -182,7 +191,7 @@ func (cs *CacheSim) l3set(l3line uint64) *cacheSet {
 	i := cs.l3index(l3line)
 	p := cs.l3[i/l3PageSets]
 	if p == nil {
-		p = new(l3Page)
+		p = l3PagePool.Get().(*l3Page)
 		cs.l3[i/l3PageSets] = p
 	}
 	return &p[i%l3PageSets]
@@ -297,6 +306,18 @@ func (cs *CacheSim) FlushAll() {
 	for _, p := range cs.l3 {
 		if p != nil {
 			*p = l3Page{}
+		}
+	}
+}
+
+// releaseL3Pages invalidates the L3 by returning its pages, zeroed, to
+// the page pool: the cache is left with no pages, like a new one.
+func (cs *CacheSim) releaseL3Pages() {
+	for i, p := range cs.l3 {
+		if p != nil {
+			*p = l3Page{}
+			l3PagePool.Put(p)
+			cs.l3[i] = nil
 		}
 	}
 }

@@ -3,6 +3,7 @@ package hw
 import (
 	"fmt"
 	"hash/fnv"
+	"sync"
 
 	"bgcnk/internal/ras"
 	"bgcnk/internal/sim"
@@ -99,7 +100,7 @@ type Chip struct {
 
 	// BootSRAM models the on-chip SRAM where cores rendezvous during the
 	// reproducible-reset protocol; its contents survive reset.
-	BootSRAM [4096]byte
+	BootSRAM *[4096]byte
 
 	// Faults is this node's seeded fault source (nil on a perfect
 	// machine). It lives outside the chip's architectural state: a chip
@@ -111,6 +112,42 @@ type Chip struct {
 	Resets      int        // number of chip resets since construction
 	Scanned     bool       // a destructive logic scan has been taken
 	ClockStopAt sim.Cycles // armed Clock-Stop cycle (0 = disarmed)
+
+	parts *chipParts
+}
+
+// chipParts is what a chip owns that is costly to build: the cores with
+// their TLBs, the cache model, DDR, the UPC unit and the boot SRAM. A
+// released chip returns them to chipPool reset to the state newChipParts
+// builds them in (the DDR size aside, which buildChip sets), and NewChip
+// draws from the pool, so a drained job's chips reuse the previous job's
+// parts instead of reallocating them. This is the paper's reproducible
+// reset applied to host objects: CNK resets persistent hardware to a
+// known state rather than rebuilding it.
+type chipParts struct {
+	cores    [CoresPerChip]Core
+	corePtrs [CoresPerChip]*Core
+	cache    CacheSim
+	mem      Memory
+	upc      upc.UPC
+	bootSRAM [4096]byte
+}
+
+var chipPool = sync.Pool{New: func() any { return newChipParts() }}
+
+func newChipParts() *chipParts {
+	p := &chipParts{}
+	p.cache.init(CoresPerChip)
+	p.cache.upc = &p.upc
+	p.mem.chunks = make(map[uint64]*[memChunk]byte)
+	p.mem.upc = &p.upc
+	for i := range p.cores {
+		c := &p.cores[i]
+		c.ID = i
+		c.TLB.upc, c.TLB.coreID = &p.upc, i
+		p.corePtrs[i] = c
+	}
+	return p
 }
 
 // ChipConfig parameterizes chip construction.
@@ -133,19 +170,24 @@ func NewChip(cfg ChipConfig) *Chip {
 	if cfg.MemSize > MaxMemSize {
 		panic(fmt.Sprintf("hw: MemSize %d exceeds MaxMemSize %d", cfg.MemSize, uint64(MaxMemSize)))
 	}
+	return buildChip(cfg, chipPool.Get().(*chipParts))
+}
+
+// buildChip assembles a chip of cfg, with all units enabled, around p.
+func buildChip(cfg ChipConfig, p *chipParts) *Chip {
+	p.mem.size = cfg.MemSize
 	ch := &Chip{
-		ID:    cfg.ID,
-		Coord: cfg.Coord,
-		Mem:   NewMemory(cfg.MemSize),
-		Cache: NewCacheSim(CoresPerChip),
-		UPC:   upc.New(),
+		ID:       cfg.ID,
+		Coord:    cfg.Coord,
+		Cores:    p.corePtrs[:],
+		Mem:      &p.mem,
+		Cache:    &p.cache,
+		UPC:      &p.upc,
+		BootSRAM: &p.bootSRAM,
+		parts:    p,
 	}
-	ch.Mem.upc = ch.UPC
-	ch.Cache.upc = ch.UPC
-	for i := 0; i < CoresPerChip; i++ {
-		c := &Core{ID: i, Chip: ch}
-		c.TLB.upc, c.TLB.coreID = ch.UPC, i
-		ch.Cores = append(ch.Cores, c)
+	for _, c := range ch.Cores {
+		c.Chip = ch
 	}
 	for u := range ch.units {
 		ch.units[u] = true
@@ -186,6 +228,37 @@ func (ch *Chip) Reset() {
 	ch.Cache.reset()
 	ch.Mem.reset()
 	ch.UPC.Reset()
+}
+
+// Release returns the chip's parts to the pool NewChip draws from and
+// zeroes the chip, so any later use of it panics on a nil field. It runs
+// the same per-component resets as Reset, after clearing what a chip
+// reset deliberately keeps (BootSRAM, DDR held in self-refresh, the fault
+// source, the L3 mapping, the refresh phase, the tracepoint arming), and
+// hands the chip's L3 pages and DDR chunks to the shared page pools, so a
+// chip built from the recycled parts is indistinguishable from one built
+// from new parts (TestRecycledChipMatchesFresh). Call it once, when
+// nothing will touch the chip, its cores or its units again; the unit
+// fuses and the Resets count live on the chip and die with it.
+func (ch *Chip) Release() { chipPool.Put(ch.recycle()) }
+
+// recycle is Release up to the pool: it resets the parts, zeroes the chip
+// and returns the parts.
+func (ch *Chip) recycle() *chipParts {
+	ch.Mem.ExitSelfRefresh()
+	ch.AttachFaults(nil)
+	ch.Cache.SetL3Mapping(L3ModuloMap)
+	ch.Cache.ResetRefreshPhase(0)
+	ch.Cache.releaseL3Pages()
+	ch.UPC.Trace.Disarm()
+	clear(ch.BootSRAM[:])
+	ch.Reset()
+	for _, c := range ch.Cores {
+		c.Chip = nil
+	}
+	p := ch.parts
+	*ch = Chip{}
+	return p
 }
 
 // StateHash digests the architecturally visible chip state: core counters,

@@ -2,6 +2,7 @@ package hw
 
 import (
 	"fmt"
+	"sync"
 
 	"bgcnk/internal/upc"
 )
@@ -11,13 +12,18 @@ import (
 // sparse writes from allocating and clearing memory they never use.
 const memChunk = 4 << 10
 
+// chunkPool holds zeroed DDR chunks shared by every Memory: a reset
+// returns its chunks here, so the memory retained tracks the most chunks
+// in use at once rather than every chip's largest job.
+var chunkPool = sync.Pool{New: func() any { return new([memChunk]byte) }}
+
 // Memory models node DDR: a sparse byte store plus the self-refresh state
 // machine used by CNK's reproducible-reset protocol (paper Section III).
 // While in self-refresh, contents are preserved across a chip reset;
 // otherwise a reset scrambles them (modelled as dropping all chunks).
 type Memory struct {
 	size        uint64
-	chunks      map[uint64][]byte
+	chunks      map[uint64]*[memChunk]byte
 	selfRefresh bool
 
 	// upc routes access counts to the owning chip's UPC unit; nil for
@@ -31,7 +37,7 @@ type Memory struct {
 
 // NewMemory returns a zeroed DDR of the given byte size.
 func NewMemory(size uint64) *Memory {
-	return &Memory{size: size, chunks: make(map[uint64][]byte)}
+	return &Memory{size: size, chunks: make(map[uint64]*[memChunk]byte)}
 }
 
 // Size returns the DDR capacity in bytes.
@@ -43,10 +49,10 @@ func (m *Memory) check(pa PAddr, n int) {
 	}
 }
 
-func (m *Memory) chunk(idx uint64, create bool) []byte {
+func (m *Memory) chunk(idx uint64, create bool) *[memChunk]byte {
 	c := m.chunks[idx]
 	if c == nil && create {
-		c = make([]byte, memChunk)
+		c = chunkPool.Get().(*[memChunk]byte)
 		m.chunks[idx] = c
 	}
 	return c
@@ -130,10 +136,15 @@ func (m *Memory) InSelfRefresh() bool { return m.selfRefresh }
 
 // reset models a full chip reset: DDR in self-refresh keeps contents; DDR
 // not in self-refresh loses them (the only persistent state in a BG/P chip
-// is DRAM during self-refresh — paper Section III).
+// is DRAM during self-refresh — paper Section III). Dropped chunks go
+// back to the chunk pool zeroed.
 func (m *Memory) reset() {
 	m.Reads, m.Writes = 0, 0
 	if !m.selfRefresh {
-		m.chunks = make(map[uint64][]byte)
+		for _, c := range m.chunks {
+			clear(c[:])
+			chunkPool.Put(c)
+		}
+		clear(m.chunks)
 	}
 }

@@ -324,18 +324,13 @@ func (m *Machine) CounterSnapshot(node int) upc.Snapshot {
 	return m.Chips[node].UPC.Snapshot()
 }
 
-// CounterSnapshots returns every node's counters, indexed by node.
-func (m *Machine) CounterSnapshots() []upc.Snapshot {
-	out := make([]upc.Snapshot, len(m.Chips))
-	for n, ch := range m.Chips {
-		out[n] = ch.UPC.Snapshot()
-	}
-	return out
-}
-
 // MergedCounters returns the machine-wide counter sum.
 func (m *Machine) MergedCounters() upc.Snapshot {
-	return upc.Merge(m.CounterSnapshots()...)
+	var sum upc.Snapshot
+	for _, ch := range m.Chips {
+		sum.AddSet(&ch.UPC.Set)
+	}
+	return sum
 }
 
 // IONStats returns each I/O node's aggregation summary, indexed by tree;
@@ -560,8 +555,18 @@ func (m *Machine) JobsDone() bool {
 	return true
 }
 
-// Shutdown tears down the simulation's coroutines.
-func (m *Machine) Shutdown() { m.Eng.Shutdown() }
+// Shutdown tears down the simulation's coroutines and recycles the
+// hardware: the engine's timer wheel and every chip go back to their
+// pools for the next machine to reuse (hw.Chip.Release), and m.Chips is
+// emptied. The machine must not be used afterwards; calling Shutdown
+// again is harmless.
+func (m *Machine) Shutdown() {
+	m.Eng.Shutdown()
+	for _, ch := range m.Chips {
+		ch.Release()
+	}
+	m.Chips = nil
+}
 
 // HeapBase returns a usable scratch virtual address for rank's process
 // (above the guard page and libc scratch area).

@@ -305,3 +305,36 @@ func TestClearJobsResetsNumbering(t *testing.T) {
 		t.Errorf("relaunch after ClearJobs got PID %d, fresh launch got %d", pid, firstPID)
 	}
 }
+
+// TestDoubleShutdownRecyclesChipsOnce: Shutdown hands every chip back to
+// the pool exactly once, so calling it twice can never give one chip's
+// parts to two later machines.
+func TestDoubleShutdownRecyclesChipsOnce(t *testing.T) {
+	const nodes = 4
+	for _, kind := range []KernelKind{KindCNK, KindFWK} {
+		m, err := New(Config{Nodes: nodes, Kind: kind})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Shutdown()
+		m.Shutdown()
+		if m.Chips != nil {
+			t.Fatalf("%v: Shutdown left %d chips on the machine", kind, len(m.Chips))
+		}
+		owner := map[*hw.CacheSim]string{}
+		for i := 0; i < 2; i++ {
+			next, err := New(Config{Nodes: nodes, Kind: kind})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer next.Shutdown()
+			for n, ch := range next.Chips {
+				me := fmt.Sprintf("machine %d node %d", i, n)
+				if prev, ok := owner[ch.Cache]; ok {
+					t.Fatalf("%v: %s and %s share one chip's parts", kind, prev, me)
+				}
+				owner[ch.Cache] = me
+			}
+		}
+	}
+}

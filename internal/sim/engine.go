@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"sync"
 )
 
 // event is a single scheduled callback, or a coroutine resume when coro is
@@ -63,13 +64,18 @@ type Engine struct {
 // the default (timer wheel) scheduler.
 func NewEngine() *Engine { return NewEngineWith(EngineConfig{}) }
 
+// wheelPool recycles the timer wheels of shut-down engines: a wheel is
+// 8 KB of bucket heads, and every drained job builds an engine. Shutdown
+// resets a wheel before it goes back, so a pooled wheel is a new one.
+var wheelPool = sync.Pool{New: func() any { return new(wheelSched) }}
+
 // NewEngineWith returns an engine configured by cfg.
 func NewEngineWith(cfg EngineConfig) *Engine {
 	e := &Engine{trace: NewTrace()}
 	if cfg.Scheduler == SchedHeap {
 		e.sched = &heapSched{}
 	} else {
-		e.sched = newWheelSched()
+		e.sched = wheelPool.Get().(*wheelSched)
 	}
 	return e
 }
@@ -179,11 +185,19 @@ func (e *Engine) RunUntilIdle() int {
 	return n
 }
 
-// Pending reports the number of queued events.
-func (e *Engine) Pending() int { return e.sched.len() }
+// Pending reports the number of queued events: none once shut down.
+func (e *Engine) Pending() int {
+	if e.sched == nil {
+		return 0
+	}
+	return e.sched.len()
+}
 
 // Shutdown kills every live coroutine so their goroutines exit; one that
-// was never dispatched never runs. The engine must not be used afterwards.
+// was never dispatched never runs. The engine's timer wheel goes back to
+// the pool and the engine keeps no scheduler: Pending reports zero, and
+// scheduling or stepping panics on the nil scheduler instead of touching
+// a wheel another engine may own. Calling Shutdown again is harmless.
 //
 // Contract: Shutdown is only legal on an idle engine, from host code —
 // never from inside an event callback or coroutine. A coroutine cannot
@@ -199,6 +213,10 @@ func (e *Engine) Shutdown() {
 		c.kill()
 	}
 	e.coros = nil
-	e.sched.reset()
+	if w, ok := e.sched.(*wheelSched); ok {
+		w.reset()
+		wheelPool.Put(w)
+	}
+	e.sched = nil
 	e.free = nil
 }

@@ -416,3 +416,42 @@ func TestWheelScheduleAllocs(t *testing.T) {
 		t.Fatalf("scheduling and dispatching %d events allocated %d times, want 0", n, a)
 	}
 }
+
+// TestEngineUseAfterShutdownPanics: a shut-down engine's timer wheel is
+// back in the pool, so scheduling or stepping it must panic rather than
+// reach a wheel the next engine may own; Pending reports nothing and a
+// second Shutdown is harmless.
+func TestEngineUseAfterShutdownPanics(t *testing.T) {
+	e := NewEngine()
+	e.At(10, func() {})
+	e.Shutdown()
+	e.Shutdown()
+	if n := e.Pending(); n != 0 {
+		t.Fatalf("shut-down engine reports %d pending events", n)
+	}
+	next := NewEngine() // may well take e's wheel
+	defer next.Shutdown()
+	next.At(5, func() {})
+	uses := map[string]func(){
+		"At":           func() { e.At(20, func() {}) },
+		"Step":         func() { e.Step() },
+		"Run":          func() { e.Run(100) },
+		"RunUntilIdle": func() { e.RunUntilIdle() },
+	}
+	for name, use := range uses {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a shut-down engine did not panic", name)
+				}
+			}()
+			use()
+		}()
+	}
+	if n := next.Pending(); n != 1 {
+		t.Fatalf("the next engine holds %d pending events, want 1", n)
+	}
+	if ran := next.RunUntilIdle(); ran != 1 {
+		t.Fatalf("the next engine ran %d events, want 1", ran)
+	}
+}

@@ -36,7 +36,6 @@ type scheduler interface {
 	// peek reports the earliest pending time without disturbing order.
 	peek() (Cycles, bool)
 	len() int
-	reset()
 }
 
 // ---------------------------------------------------------------------------
@@ -81,7 +80,6 @@ func (s *heapSched) peek() (Cycles, bool) {
 }
 
 func (s *heapSched) len() int { return len(s.h) }
-func (s *heapSched) reset()   { s.h = nil }
 
 // ---------------------------------------------------------------------------
 // Fast scheduler: hierarchical timer wheel.
@@ -122,8 +120,6 @@ type wheelSched struct {
 	occ   [wheelLevels][wheelWords]uint64
 	over  eventHeap // beyond-horizon events, ordered (at, seq)
 }
-
-func newWheelSched() *wheelSched { return &wheelSched{} }
 
 func (w *wheelSched) len() int { return w.inWheel + len(w.over) }
 

@@ -34,17 +34,28 @@ func Delta(before, after Snapshot) Snapshot {
 // Merge sums snapshots element-wise (e.g. across the chips of a machine).
 func Merge(snaps ...Snapshot) Snapshot {
 	var m Snapshot
-	for _, s := range snaps {
-		for sl := 0; sl < NumSlots; sl++ {
-			for c := 0; c < int(NumCounters); c++ {
-				m.Vals[sl][c] += s.Vals[sl][c]
-			}
-			for n := 0; n < MaxSyscalls; n++ {
-				m.Sys[sl][n] += s.Sys[sl][n]
-			}
-		}
+	for i := range snaps {
+		m.Add(&snaps[i])
 	}
 	return m
+}
+
+// Add sums o into s element-wise.
+func (s *Snapshot) Add(o *Snapshot) { s.add(&o.Vals, &o.Sys) }
+
+// AddSet sums the live counters of set into s element-wise, without
+// taking a snapshot of set first.
+func (s *Snapshot) AddSet(set *Set) { s.add(&set.vals, &set.sys) }
+
+func (s *Snapshot) add(vals *[NumSlots][NumCounters]uint64, sys *[NumSlots][MaxSyscalls]uint64) {
+	for sl := range vals {
+		for c := range vals[sl] {
+			s.Vals[sl][c] += vals[sl][c]
+		}
+		for n := range sys[sl] {
+			s.Sys[sl][n] += sys[sl][n]
+		}
+	}
 }
 
 // Core reads counter c for one core (ChipScope for the chip slot).

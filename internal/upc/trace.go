@@ -86,6 +86,10 @@ func (r *Ring) Count() uint64 { return r.count }
 // configuration, not state).
 func (r *Ring) Reset() { r.count = 0 }
 
+// Disarm turns every category off and detaches the trace: the gate of a
+// new UPC unit.
+func (r *Ring) Disarm() { r.mask, r.tr = 0, nil }
+
 // UPC is one chip's Universal Performance Counter unit: the counter Set
 // plus the tracepoint Ring. hw.Chip owns one; every layer above reaches it
 // through the chip.

@@ -77,6 +77,12 @@ func TestMerge(t *testing.T) {
 	if got := m.SyscallCount(5); got != 1 {
 		t.Fatalf("merged syscall #5 = %d, want 1", got)
 	}
+	var live Snapshot
+	live.AddSet(&a)
+	live.AddSet(&b)
+	if live != m {
+		t.Fatal("summing the live sets in place differs from merging their snapshots")
+	}
 }
 
 func TestTextAndJSONRendering(t *testing.T) {

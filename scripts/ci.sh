@@ -160,6 +160,20 @@ goroutine-leak gate ; - ; ./internal/experiments/ ; TestRunBoot|TestGolden/boot
 one reproducibility stream ; race ; ./internal/machine/ ; TestDeterminismBattery
 one reproducibility stream ; - ; ./internal/upc/ ; TestRingFeedsSimTrace
 one reproducibility stream ; - ; ./internal/ras/ ; TestDigestMatchesFmt
+
+# Per-job hardware recycling: a released chip's parts, L3 pages and DDR
+# chunks come back field-for-field equal to new ones, a released chip
+# panics on use, a warm NewChip/Release cycle allocates only the chip
+# header (counted without the race detector, which makes sync.Pool drop
+# items at random), a double Shutdown never recycles a chip twice, a
+# shut-down engine panics instead of touching its pooled wheel, and the
+# parallel drain, whose workers share the pools, stays bit-identical to
+# serial and race-clean.
+per-job hardware recycling ; race ; ./internal/hw/ ; TestRecycledChipMatchesFresh|TestReleasedChipPanics
+per-job hardware recycling ; - ; ./internal/hw/ ; TestRecycledChipAllocs
+per-job hardware recycling ; race ; ./internal/machine/ ; TestDoubleShutdownRecyclesChipsOnce
+per-job hardware recycling ; race ; ./internal/sim/ ; TestEngineUseAfterShutdownPanics
+per-job hardware recycling ; race ; ./internal/ctrlsys/ ; TestParallelDrainMatchesSerial
 TABLE
 }
 
