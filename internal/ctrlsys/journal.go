@@ -43,9 +43,10 @@ func (c JournalConfig) normalized() JournalConfig {
 	return c
 }
 
-// jenc/jdec are the journal-body codec, in the same strict little-endian
-// style as the checkpoint image codec: every length is bounded, every
-// read checked, and a decode must consume the body exactly.
+// jenc/jdec are the control system's wire codec — journal bodies and
+// node personalities — in the same strict little-endian style as the
+// checkpoint image codec: every length is bounded, every read checked,
+// and a decode must consume its input exactly.
 type jenc struct{ b []byte }
 
 func (e *jenc) u8(v uint8) { e.b = append(e.b, v) }
@@ -68,15 +69,23 @@ const (
 )
 
 type jdec struct {
-	b   []byte
-	off int
-	err error
+	b    []byte
+	off  int
+	err  error
+	what string // named in decode errors; "journal body" when empty
 }
 
 func (d *jdec) fail(format string, args ...any) {
 	if d.err == nil {
-		d.err = fmt.Errorf("ctrlsys: journal body: "+format, args...)
+		d.err = fmt.Errorf("ctrlsys: %s: %s", d.name(), fmt.Sprintf(format, args...))
 	}
+}
+
+func (d *jdec) name() string {
+	if d.what == "" {
+		return "journal body"
+	}
+	return d.what
 }
 
 func (d *jdec) u8() uint8 {
@@ -115,12 +124,13 @@ func (d *jdec) u64() uint64 {
 	return uint64(lo) | uint64(hi)<<32
 }
 
-func (d *jdec) str() string {
+// str decodes a string of at most limit bytes.
+func (d *jdec) str(limit int) string {
 	n := int(d.u32())
 	if d.err != nil {
 		return ""
 	}
-	if n > jMaxStr || d.off+n > len(d.b) {
+	if n > limit || d.off+n > len(d.b) {
 		d.fail("string of %d bytes at %d", n, d.off)
 		return ""
 	}
@@ -149,7 +159,7 @@ func (d *jdec) finish() error {
 		return d.err
 	}
 	if d.off != len(d.b) {
-		return fmt.Errorf("ctrlsys: journal body: %d trailing bytes", len(d.b)-d.off)
+		return fmt.Errorf("ctrlsys: %s: %d trailing bytes", d.name(), len(d.b)-d.off)
 	}
 	return nil
 }
@@ -172,7 +182,7 @@ func unmarshalJob(b []byte) (Job, error) {
 	d := jdec{b: b}
 	j := Job{
 		ID:        int(d.i32()),
-		Name:      d.str(),
+		Name:      d.str(jMaxStr),
 		Midplanes: int(d.i32()),
 		Work:      sim.Cycles(d.u64()),
 		Exchanges: int(d.i32()),
@@ -336,7 +346,7 @@ func (d *jdec) jobResult() *JobResult {
 	r := &JobResult{}
 	r.Job = Job{
 		ID:        int(d.i32()),
-		Name:      d.str(),
+		Name:      d.str(jMaxStr),
 		Midplanes: int(d.i32()),
 		Work:      sim.Cycles(d.u64()),
 		Exchanges: int(d.i32()),
@@ -359,7 +369,7 @@ func (d *jdec) jobResult() *JobResult {
 	r.Counters = d.snapshot()
 	r.RASEvents = d.u64()
 	r.RASHash = d.u64()
-	r.Err = d.str()
+	r.Err = d.str(jMaxStr)
 	na := int(d.i32())
 	if d.err == nil && (na < 0 || na > 4096) {
 		d.fail("attempt count %d", na)

@@ -22,7 +22,8 @@ type Personality struct {
 	MemBytes  uint64 // DDR size
 }
 
-// Wire format: magic, version, fixed-width fields, length-prefixed block
+// Wire format (the journal codec's: little-endian integers, u32
+// length-prefixed strings): magic, version, fixed-width fields, block
 // name. Decoders must accept exactly what Marshal produces and nothing
 // else (no trailing bytes), so any accepted input re-marshals to itself.
 const (
@@ -33,7 +34,11 @@ const (
 
 // Marshal encodes the personality.
 func (p *Personality) Marshal() []byte {
-	e := &penc{}
+	block := p.Block
+	if len(block) > maxBlockName {
+		block = block[:maxBlockName]
+	}
+	e := &jenc{}
 	e.u32(personalityMagic)
 	e.u8(personalityVersion)
 	e.u32(uint32(p.Rank))
@@ -43,7 +48,7 @@ func (p *Personality) Marshal() []byte {
 	e.u32(uint32(p.Z))
 	e.u32(uint32(p.Partition))
 	e.u32(uint32(p.Base))
-	e.str(p.Block)
+	e.str(block)
 	e.u8(p.Kind)
 	e.u64(p.Seed)
 	e.u64(p.MemBytes)
@@ -54,7 +59,7 @@ func (p *Personality) Marshal() []byte {
 // magic, unknown versions, oversized block names, truncation, and
 // trailing garbage.
 func UnmarshalPersonality(b []byte) (*Personality, error) {
-	d := &pdec{b: b}
+	d := &jdec{b: b, what: "personality"}
 	if m := d.u32(); d.err == nil && m != personalityMagic {
 		return nil, fmt.Errorf("ctrlsys: bad personality magic %#x", m)
 	}
@@ -69,15 +74,12 @@ func UnmarshalPersonality(b []byte) (*Personality, error) {
 	p.Z = int32(d.u32())
 	p.Partition = int32(d.u32())
 	p.Base = int32(d.u32())
-	p.Block = d.str()
+	p.Block = d.str(maxBlockName)
 	p.Kind = d.u8()
 	p.Seed = d.u64()
 	p.MemBytes = d.u64()
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(d.b) {
-		return nil, fmt.Errorf("ctrlsys: %d trailing bytes after personality", len(d.b)-d.off)
+	if err := d.finish(); err != nil {
+		return nil, err
 	}
 	return p, nil
 }
@@ -87,74 +89,4 @@ func UnmarshalPersonality(b []byte) (*Personality, error) {
 func personalityWireBytes() int {
 	p := Personality{Block: "R00-M0", Seed: 1, MemBytes: 256 << 20}
 	return len(p.Marshal())
-}
-
-type penc struct{ b []byte }
-
-func (e *penc) u8(v uint8)   { e.b = append(e.b, v) }
-func (e *penc) u32(v uint32) { e.b = append(e.b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24)) }
-func (e *penc) u64(v uint64) {
-	e.u32(uint32(v))
-	e.u32(uint32(v >> 32))
-}
-func (e *penc) str(s string) {
-	if len(s) > maxBlockName {
-		s = s[:maxBlockName]
-	}
-	e.u32(uint32(len(s)))
-	e.b = append(e.b, s...)
-}
-
-type pdec struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *pdec) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("ctrlsys: truncated personality at offset %d", d.off)
-	}
-}
-
-func (d *pdec) u8() uint8 {
-	if d.err != nil || d.off+1 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *pdec) u32() uint32 {
-	if d.err != nil || d.off+4 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	b := d.b[d.off:]
-	d.off += 4
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func (d *pdec) u64() uint64 {
-	lo := d.u32()
-	hi := d.u32()
-	return uint64(lo) | uint64(hi)<<32
-}
-
-func (d *pdec) str() string {
-	n := int(d.u32())
-	if d.err != nil {
-		return ""
-	}
-	// Bound the allocation by both the name cap and the bytes actually
-	// present (a hostile length must not drive a huge allocation).
-	if n > maxBlockName || d.off+n > len(d.b) {
-		d.fail()
-		return ""
-	}
-	s := string(d.b[d.off : d.off+n])
-	d.off += n
-	return s
 }

@@ -148,6 +148,20 @@ func New(cfg Config) (*Machine, error) {
 	if cfg.CNsPerION <= 0 {
 		cfg.CNsPerION = cfg.Nodes
 	}
+	var plan *torus.FaultPlan
+	if cfg.Faults.NetEnabled() {
+		// Hard network faults: the link/node death schedule comes from the
+		// plan's dedicated machine-wide stream (no per-node stream is
+		// perturbed). It is part of the partition's configuration, so boot
+		// validates the partition wiring against it here, before anything
+		// is built: a topology the schedule will disconnect fails fast
+		// instead of stranding the job mid-run.
+		plan = torus.DrawFaultPlan(sim.NewRNG(cfg.Faults.NetSeed()), dims,
+			cfg.Faults.LinkFails, cfg.Faults.NodeFails, cfg.Faults.NetWindow())
+		if err := torus.CheckPlanWiring(dims, plan); err != nil {
+			return nil, fmt.Errorf("machine: %w", err)
+		}
+	}
 	m := &Machine{Eng: sim.NewEngineWith(sim.EngineConfig{Scheduler: cfg.Sched}), Cfg: cfg}
 	if cfg.Obs != nil {
 		m.Obs = obs.New(*cfg.Obs)
@@ -190,19 +204,15 @@ func New(cfg Config) (*Machine, error) {
 		}))
 	}
 
-	if m.inj != nil && cfg.Faults.NetEnabled() {
-		// Hard network faults: draw the link/node death schedule from the
-		// plan's dedicated machine-wide stream (no per-node stream is
-		// perturbed) and arm the torus's fault layer. A node death kills
-		// the job partition-wide: the barrier and combining tree release
-		// their waiters with errors, and the RAS log gets the JobKill the
+	if plan != nil {
+		// Arm the torus's fault layer. A node death kills the job
+		// partition-wide: the barrier and combining tree release their
+		// waiters with errors, and the RAS log gets the JobKill the
 		// control system's localization scan keys on.
 		nodeAt := make(map[torus.Coord]int, len(coords))
 		for i, c := range coords {
 			nodeAt[c] = i
 		}
-		plan := torus.DrawFaultPlan(sim.NewRNG(cfg.Faults.NetSeed()), dims,
-			cfg.Faults.LinkFails, cfg.Faults.NodeFails, cfg.Faults.NetWindow())
 		m.Torus.ArmFaults(plan, !cfg.Faults.NetResilienceOff, func(c torus.Coord) {
 			node := nodeAt[c]
 			m.Bar.MarkDead(node)
@@ -212,13 +222,6 @@ func New(cfg Config) (*Machine, error) {
 			m.Chips[node].Faults.Report(ras.JobKill, "torus",
 				"node failure: job killed partition-wide")
 		})
-		// Boot-time partition wiring validation: the seeded death schedule
-		// is part of the partition's configuration, so a topology it will
-		// disconnect must fail fast here instead of stranding the job
-		// mid-run.
-		if err := m.Torus.ValidatePlanRoutable(plan); err != nil {
-			return nil, fmt.Errorf("machine: %w", err)
-		}
 	}
 
 	// One ION (filesystem + CIOD) per CNsPerION compute nodes.

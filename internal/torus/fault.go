@@ -6,11 +6,14 @@
 // damage or surface a clean partition-level failure to the control
 // system. This file makes hard network failure a first-class,
 // cycle-exactly-replayable event: a FaultPlan drawn from a dedicated RNG
-// stream kills directed links and whole interfaces at drawn cycles, a
-// per-network route table is recomputed deterministically on every
-// failure, transfers crossing a dead wire are lost and retransmitted
+// stream kills directed links and whole interfaces at drawn cycles, each
+// source's detour routes come from one breadth-first search over the
+// surviving wiring (run on its first lookup after a death, cached until
+// the next), transfers crossing a dead wire are lost and retransmitted
 // end-to-end with exponential backoff, and when no route survives the
 // sender gets a typed DeliveryError instead of a silently hung coroutine.
+// CheckPlanWiring refuses, before anything is built, a plan that will
+// disconnect the partition.
 //
 // Everything here is gated on ArmFaults: a network that never arms hard
 // faults runs the exact legacy code path, event for event.
@@ -20,6 +23,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"bgcnk/internal/ras"
@@ -109,15 +113,11 @@ func nodeFaultLess(a, b NodeFault) bool {
 	return coordLess(a.C, b.C)
 }
 
-// enumCoords lists every coordinate of a dims-sized torus in x,y,z
-// lexicographic order.
 // EnumCoords lists every coordinate of a dims-shaped torus in canonical
 // row-major order (x outermost) — the rank-to-coordinate mapping the
-// machine layer uses for non-ring topologies.
-func EnumCoords(dims Coord) []Coord { return enumCoords(dims) }
-
-func enumCoords(dims Coord) []Coord {
-	var out []Coord
+// machine layer uses for non-ring topologies; nodeIndex inverts it.
+func EnumCoords(dims Coord) []Coord {
+	out := make([]Coord, 0, nodeCount(dims))
 	for x := 0; x < max1(dims[0]); x++ {
 		for y := 0; y < max1(dims[1]); y++ {
 			for z := 0; z < max1(dims[2]); z++ {
@@ -133,6 +133,14 @@ func max1(n int) int {
 		return 1
 	}
 	return n
+}
+
+// nodeCount is the number of nodes in a dims-shaped torus.
+func nodeCount(dims Coord) int { return max1(dims[0]) * max1(dims[1]) * max1(dims[2]) }
+
+// nodeIndex is c's position in EnumCoords order.
+func nodeIndex(c Coord, dims Coord) int {
+	return (c[0]*max1(dims[1])+c[1])*max1(dims[2]) + c[2]
 }
 
 // step returns the neighbor of c one hop along dim in the given
@@ -156,7 +164,7 @@ func DrawFaultPlan(rng *sim.RNG, dims Coord, nLinks, nNodes int, window sim.Cycl
 		window = 1
 	}
 	p := &FaultPlan{}
-	coords := enumCoords(dims)
+	coords := EnumCoords(dims)
 
 	var links []LinkFault
 	for _, c := range coords {
@@ -358,80 +366,105 @@ func UnmarshalFaultPlan(b []byte) (*FaultPlan, error) {
 	return p, nil
 }
 
-// ---- route table ----
+// ---- routing ----
 
-// Route is one surviving source→destination path: the successive
-// coordinates after Src, ending at Dst.
-type Route struct {
-	Src, Dst Coord
-	Hops     []Coord
-}
+// Arrival moves recorded by walk: move 2*dim crossed the positive link of
+// dim, 2*dim+1 the negative one.
+const (
+	viaNone   = -1 // node not reached
+	viaSource = 6  // the walk's starting node
+)
 
-// RouteTable is the per-network routing state recomputed deterministically
-// on every failure event: for every ordered pair of coordinates with a
-// surviving path, the shortest detour (BFS over healthy directed links,
-// dimensions ascending, positive direction first — a fixed exploration
-// order, so the table is a pure function of the dead set).
-type RouteTable struct {
-	Dims   Coord
-	Epoch  uint32
-	Routes []Route // sorted by (Src, Dst) lexicographic
-}
-
-// BuildRouteTable computes the all-pairs table over links/nodes the
-// callbacks report alive.
-func BuildRouteTable(dims Coord, epoch uint32, linkAlive func(linkKey) bool, nodeAlive func(Coord) bool) *RouteTable {
-	rt := &RouteTable{Dims: dims, Epoch: epoch}
-	coords := enumCoords(dims)
-	for _, src := range coords {
-		if !nodeAlive(src) {
-			continue
-		}
-		parent := map[Coord]Coord{src: src}
-		queue := []Coord{src}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for d := 0; d < 3; d++ {
-				if dims[d] <= 1 {
+// walk is a breadth-first search from src over the links and nodes the
+// callbacks report alive, in the fixed neighbour order that makes a
+// healthy torus route exactly dimension-ordered: dimensions ascending,
+// the positive direction first. It returns, per node index, the move
+// that first reached the node. With reverse set it follows links
+// backwards, so the reached nodes are those that can reach src.
+func walk(dims, src Coord, reverse bool, linkAlive func(linkKey) bool, nodeAlive func(Coord) bool) []int8 {
+	via := make([]int8, nodeCount(dims))
+	for i := range via {
+		via[i] = viaNone
+	}
+	via[nodeIndex(src, dims)] = viaSource
+	queue := make([]Coord, 1, len(via))
+	queue[0] = src
+	for h := 0; h < len(queue); h++ {
+		u := queue[h]
+		for d := 0; d < 3; d++ {
+			if dims[d] <= 1 {
+				continue
+			}
+			for m, pos := range [2]bool{true, false} {
+				v := step(u, d, pos != reverse, dims)
+				k := linkKey{u, d, pos}
+				if reverse {
+					k.c = v
+				}
+				if !linkAlive(k) || !nodeAlive(v) {
 					continue
 				}
-				for _, pos := range [2]bool{true, false} {
-					k := linkKey{u, d, pos}
-					if !linkAlive(k) {
-						continue
-					}
-					v := step(u, d, pos, dims)
-					if !nodeAlive(v) {
-						continue
-					}
-					if _, seen := parent[v]; seen {
-						continue
-					}
-					parent[v] = u
+				if i := nodeIndex(v, dims); via[i] == viaNone {
+					via[i] = int8(2*d + m)
 					queue = append(queue, v)
 				}
 			}
 		}
-		for _, dst := range coords {
-			if dst == src {
-				continue
-			}
-			if _, ok := parent[dst]; !ok {
-				continue
-			}
-			var rev []Coord
-			for c := dst; c != src; c = parent[c] {
-				rev = append(rev, c)
-			}
-			hops := make([]Coord, len(rev))
-			for i, c := range rev {
-				hops[len(rev)-1-i] = c
-			}
-			rt.Routes = append(rt.Routes, Route{Src: src, Dst: dst, Hops: hops})
+	}
+	return via
+}
+
+// unreachablePair finds a pair of live nodes with no surviving path
+// between them, or reports ok when every live node reaches every other.
+// One forward and one reverse walk from the first live node decide it:
+// the wiring is strongly connected exactly when both walks reach every
+// live node.
+func unreachablePair(dims Coord, linkAlive func(linkKey) bool, nodeAlive func(Coord) bool) (from, to Coord, ok bool) {
+	coords := EnumCoords(dims)
+	var fwd, rev []int8
+	for i, c := range coords {
+		if !nodeAlive(c) {
+			continue
+		}
+		if fwd == nil {
+			from = c
+			fwd = walk(dims, c, false, linkAlive, nodeAlive)
+			rev = walk(dims, c, true, linkAlive, nodeAlive)
+		}
+		if fwd[i] == viaNone {
+			return from, c, false
+		}
+		if rev[i] == viaNone {
+			return c, from, false
 		}
 	}
-	return rt
+	return Coord{}, Coord{}, true
+}
+
+// CheckPlanWiring verifies that even after every death in plan has
+// landed, each surviving node of a dims-shaped torus can still reach
+// every other. This is the boot-time partition wiring validation: a
+// seeded fault schedule is part of the partition's configuration, and a
+// topology it will disconnect must fail fast at boot instead of
+// stranding a job mid-run. It is a pure function of (dims, plan), so it
+// runs before anything is built; the error wraps ErrUnroutable and names
+// one unreachable pair.
+func CheckPlanWiring(dims Coord, plan *FaultPlan) error {
+	deadL := make(map[linkKey]bool, len(plan.Links))
+	deadN := make(map[Coord]bool, len(plan.Nodes))
+	for _, lf := range plan.Links {
+		deadL[linkKey{lf.C, lf.Dim, lf.Pos}] = true
+	}
+	for _, nf := range plan.Nodes {
+		deadN[nf.C] = true
+	}
+	a, b, ok := unreachablePair(dims,
+		func(k linkKey) bool { return !deadL[k] },
+		func(c Coord) bool { return !deadN[c] })
+	if !ok {
+		return fmt.Errorf("torus: partition wiring %v -> %v after planned faults: %w", a, b, ErrUnroutable)
+	}
+	return nil
 }
 
 // ---- armed fault state ----
@@ -456,14 +489,15 @@ type faultState struct {
 
 	deadLinks map[linkKey]sim.Cycles // death cycle per dead directed link
 	deadNodes map[Coord]sim.Cycles
-	epoch     uint32
-	routes    *RouteTable
-	paths     map[[2]Coord][]linkKey // resilient next-path cache, rebuilt per epoch
+	// via caches one walk per source node index over the current dead
+	// set: built on the source's first route lookup, dropped at every
+	// death.
+	via [][]int8
 }
 
 // ArmFaults arms the hard-fault layer: the plan's deaths are scheduled as
-// engine events, the route table is built, and (with resilient true)
-// transfers detour around dead links and retransmit lost deliveries.
+// engine events and (with resilient true) transfers detour around dead
+// links and retransmit lost deliveries.
 // With resilient false routing stays static dimension-ordered and lost
 // packets stay lost — the degrade experiment's baseline. onNodeDead (may
 // be nil) runs at each node death, after the RAS event is logged.
@@ -479,7 +513,6 @@ func (n *Network) ArmFaults(plan *FaultPlan, resilient bool, onNodeDead func(Coo
 		deadNodes:   make(map[Coord]sim.Cycles),
 	}
 	n.faults = f
-	f.recompute(n)
 	for _, lf := range plan.Links {
 		k := linkKey{lf.C, lf.Dim, lf.Pos}
 		n.eng.At(lf.At, func() { n.killLink(k) })
@@ -493,19 +526,12 @@ func (n *Network) ArmFaults(plan *FaultPlan, resilient bool, onNodeDead func(Coo
 // FaultsArmed reports whether the hard-fault layer is active.
 func (n *Network) FaultsArmed() bool { return n.faults != nil }
 
-// SetE2ERecvTimeout overrides the armed receiver timeout (tests).
+// SetE2ERecvTimeout overrides the armed receiver timeout
+// (DefaultE2ERecvTimeout); a no-op on an unarmed network.
 func (n *Network) SetE2ERecvTimeout(d sim.Cycles) {
 	if n.faults != nil {
 		n.faults.recvTimeout = d
 	}
-}
-
-// RouteEpoch returns the current route-table epoch (0 when unarmed).
-func (n *Network) RouteEpoch() uint32 {
-	if n.faults == nil {
-		return 0
-	}
-	return n.faults.epoch
 }
 
 // DeadLinks counts directed links currently dead (node deaths included).
@@ -528,44 +554,8 @@ func (f *faultState) nodeAlive(c Coord) bool {
 	return !dead
 }
 
-// recompute rebuilds the route table and path cache — the deterministic
-// per-failure recomputation the paper's fault-region routing requires.
-func (f *faultState) recompute(n *Network) {
-	f.epoch++
-	f.routes = BuildRouteTable(n.cfg.Dims, f.epoch, f.linkAlive, f.nodeAlive)
-	f.paths = make(map[[2]Coord][]linkKey, len(f.routes.Routes))
-	for _, r := range f.routes.Routes {
-		f.paths[[2]Coord{r.Src, r.Dst}] = coordsToLinks(r.Src, r.Hops, n.cfg.Dims, f.linkAlive)
-	}
-}
-
-// coordsToLinks converts a coordinate path into the directed links it
-// crosses. On a size-2 dimension both wires connect the same coordinate
-// pair, so the coordinate hop alone cannot name the wire; alive (may be
-// nil) resolves the ambiguity toward a live link, matching the wire the
-// route BFS actually traversed.
-func coordsToLinks(src Coord, hops []Coord, dims Coord, alive func(linkKey) bool) []linkKey {
-	out := make([]linkKey, 0, len(hops))
-	cur := src
-	for _, h := range hops {
-		for d := 0; d < 3; d++ {
-			if cur[d] == h[d] {
-				continue
-			}
-			pos := h[d] == (cur[d]+1)%dims[d]
-			if dims[d] == 2 && alive != nil && !alive(linkKey{cur, d, pos}) {
-				pos = !pos
-			}
-			out = append(out, linkKey{cur, d, pos})
-			break
-		}
-		cur = h
-	}
-	return out
-}
-
 // killLink marks one directed link dead: RAS-logged against the owning
-// node, counted in its UPC unit, and the route table recomputed.
+// node, counted in its UPC unit, and every cached walk dropped.
 func (n *Network) killLink(k linkKey) {
 	f := n.faults
 	if _, dead := f.deadLinks[k]; dead {
@@ -583,7 +573,7 @@ func (n *Network) killLink(k linkKey) {
 				fmt.Sprintf("directed link %v dim %d%s died", k.c, k.dim, dir))
 		}
 	}
-	f.recompute(n)
+	clear(f.via)
 }
 
 // killNode marks a whole interface dead: every link it owns dies with it,
@@ -619,7 +609,7 @@ func (n *Network) killNode(c Coord) {
 				fmt.Sprintf("node %v torus interface died with all its links", c))
 		}
 	}
-	f.recompute(n)
+	clear(f.via)
 	if ifc != nil {
 		for _, w := range ifc.waiters {
 			w.Wake()
@@ -628,78 +618,6 @@ func (n *Network) killNode(c Coord) {
 	if f.onNodeDead != nil {
 		f.onNodeDead(c)
 	}
-}
-
-// ValidateRoutable verifies every pair of live attached interfaces can
-// still reach each other over surviving links — the boot-time partition
-// wiring validation. Returns an error wrapping ErrUnroutable naming the
-// first unreachable pair.
-func (n *Network) ValidateRoutable() error {
-	f := n.faults
-	if f == nil {
-		return nil
-	}
-	coords := make([]Coord, 0, len(n.ifcs))
-	for c := range n.ifcs {
-		coords = append(coords, c)
-	}
-	sort.Slice(coords, func(i, j int) bool { return coordLess(coords[i], coords[j]) })
-	for _, a := range coords {
-		if !f.nodeAlive(a) {
-			continue
-		}
-		for _, b := range coords {
-			if a == b || !f.nodeAlive(b) {
-				continue
-			}
-			if _, ok := f.paths[[2]Coord{a, b}]; !ok {
-				return fmt.Errorf("torus: partition wiring %v -> %v: %w", a, b, ErrUnroutable)
-			}
-		}
-	}
-	return nil
-}
-
-// ValidatePlanRoutable verifies that even after every death in plan has
-// landed, the surviving attached interfaces can all still reach each
-// other. This is the boot-time partition wiring validation: a seeded
-// fault schedule is part of the partition's configuration, and a
-// topology it will disconnect must fail fast at boot instead of
-// stranding a job mid-run.
-func (n *Network) ValidatePlanRoutable(plan *FaultPlan) error {
-	deadL := make(map[linkKey]bool, len(plan.Links))
-	deadN := make(map[Coord]bool, len(plan.Nodes))
-	for _, lf := range plan.Links {
-		deadL[linkKey{lf.C, lf.Dim, lf.Pos}] = true
-	}
-	for _, nf := range plan.Nodes {
-		deadN[nf.C] = true
-	}
-	rt := BuildRouteTable(n.cfg.Dims, 0,
-		func(k linkKey) bool { return !deadL[k] },
-		func(c Coord) bool { return !deadN[c] })
-	ok := make(map[[2]Coord]bool, len(rt.Routes))
-	for _, r := range rt.Routes {
-		ok[[2]Coord{r.Src, r.Dst}] = true
-	}
-	coords := make([]Coord, 0, len(n.ifcs))
-	for c := range n.ifcs {
-		if !deadN[c] {
-			coords = append(coords, c)
-		}
-	}
-	sort.Slice(coords, func(i, j int) bool { return coordLess(coords[i], coords[j]) })
-	for _, a := range coords {
-		for _, b := range coords {
-			if a == b {
-				continue
-			}
-			if !ok[[2]Coord{a, b}] {
-				return fmt.Errorf("torus: partition wiring %v -> %v after planned faults: %w", a, b, ErrUnroutable)
-			}
-		}
-	}
-	return nil
 }
 
 // legacyPath is the static dimension-ordered minimal route, dead links
@@ -728,14 +646,38 @@ func legacyPath(a, b Coord, dims Coord) []linkKey {
 	return out
 }
 
-// path returns the links a transfer a→b crosses under the current fault
-// state: the recomputed detour route when resilient, the static
-// dimension-ordered route when not. nil means unroutable (resilient only).
+// path returns the links a transfer a→b (a != b) crosses under the
+// current fault state: the shortest detour over surviving wiring when
+// resilient, the static dimension-ordered route when not. nil means
+// unroutable (resilient only). The detour is read off a's walk by
+// following arrival moves back from b.
 func (f *faultState) path(a, b Coord, dims Coord) []linkKey {
 	if !f.resilient {
 		return legacyPath(a, b, dims)
 	}
-	return f.paths[[2]Coord{a, b}]
+	if !f.nodeAlive(a) {
+		return nil
+	}
+	if f.via == nil {
+		f.via = make([][]int8, nodeCount(dims))
+	}
+	ia := nodeIndex(a, dims)
+	if f.via[ia] == nil {
+		f.via[ia] = walk(dims, a, false, f.linkAlive, f.nodeAlive)
+	}
+	via := f.via[ia]
+	var out []linkKey
+	for c := b; c != a; {
+		m := via[nodeIndex(c, dims)]
+		if m == viaNone {
+			return nil
+		}
+		d, pos := int(m/2), m%2 == 0
+		c = step(c, d, !pos, dims)
+		out = append(out, linkKey{c, d, pos})
+	}
+	slices.Reverse(out)
+	return out
 }
 
 // lost reports whether a transfer over path, arriving at done, crossed a
@@ -788,11 +730,11 @@ func (n *Network) routedDone(a, b Coord, bytes int) (done sim.Cycles, path []lin
 
 // sendArmed drives one end-to-end reliable transfer on an armed network:
 // sequence the attempt, route it, detect in-flight loss at the would-be
-// arrival, retransmit with exponential backoff over a freshly recomputed
-// route, and surface a typed DeliveryError when delivery is impossible.
-// complete runs exactly once — at the arrival instant with nil, or at
-// abandonment with the error. extraCost is per-attempt injection overhead
-// (DMA descriptors). Returns the first attempt's arrival estimate.
+// arrival, retransmit with exponential backoff over the route that
+// survives at the retry, and surface a typed DeliveryError when delivery
+// is impossible. complete runs exactly once — at the arrival instant with
+// nil, or at abandonment with the error. extraCost is per-attempt
+// injection overhead (DMA descriptors). Returns the first attempt's arrival estimate.
 func (i *Interface) sendArmed(dst Coord, bytes int, extraCost sim.Cycles, complete func(error)) sim.Cycles {
 	f := i.net.faults
 	u := i.chip.UPC

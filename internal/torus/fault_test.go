@@ -3,6 +3,8 @@ package torus
 import (
 	"bytes"
 	"errors"
+	"runtime"
+	"slices"
 	"testing"
 
 	"bgcnk/internal/hw"
@@ -21,7 +23,7 @@ func TestHopsFirstHopProperties(t *testing.T) {
 	for _, dims := range propDims {
 		eng := sim.NewEngine()
 		net := New(eng, DefaultConfig(dims))
-		coords := enumCoords(dims)
+		coords := EnumCoords(dims)
 		for _, a := range coords {
 			for _, b := range coords {
 				h := net.Hops(a, b)
@@ -70,8 +72,8 @@ func TestLegacyPathMatchesHops(t *testing.T) {
 	for _, dims := range propDims {
 		eng := sim.NewEngine()
 		net := New(eng, DefaultConfig(dims))
-		for _, a := range enumCoords(dims) {
-			for _, b := range enumCoords(dims) {
+		for _, a := range EnumCoords(dims) {
+			for _, b := range EnumCoords(dims) {
 				if got, want := len(legacyPath(a, b, dims)), net.Hops(a, b); got != want {
 					t.Fatalf("dims %v: legacyPath(%v,%v) length %d, want %d", dims, a, b, got, want)
 				}
@@ -142,14 +144,21 @@ func TestFaultPlanCodecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRouteTableHealthyMinimal(t *testing.T) {
+// TestHealthyRoutesAreDimensionOrdered: on a torus with no dead wiring
+// the resilient router must pick exactly the static dimension-ordered
+// route, wire for wire, so arming the fault layer moves nothing until
+// something dies.
+func TestHealthyRoutesAreDimensionOrdered(t *testing.T) {
 	for _, dims := range propDims {
-		eng := sim.NewEngine()
-		net := New(eng, DefaultConfig(dims))
-		rt := BuildRouteTable(dims, 1, func(linkKey) bool { return true }, func(Coord) bool { return true })
-		for _, r := range rt.Routes {
-			if got, want := len(r.Hops), net.Hops(r.Src, r.Dst); got != want {
-				t.Fatalf("dims %v: healthy route %v->%v has %d hops, want %d", dims, r.Src, r.Dst, got, want)
+		f := &faultState{resilient: true}
+		for _, a := range EnumCoords(dims) {
+			for _, b := range EnumCoords(dims) {
+				if a == b {
+					continue
+				}
+				if got, want := f.path(a, b, dims), legacyPath(a, b, dims); !slices.Equal(got, want) {
+					t.Fatalf("dims %v: healthy route %v->%v = %v, want dimension-ordered %v", dims, a, b, got, want)
+				}
 			}
 		}
 	}
@@ -223,7 +232,7 @@ func TestRouteDetourAroundDeadLink(t *testing.T) {
 func TestE2ERetryAfterMidFlightDeath(t *testing.T) {
 	// The link dies at cycle 1, while the first attempt (injected at cycle
 	// 0) is still in flight: the delivery is lost, retransmitted over the
-	// recomputed detour route, and completes.
+	// detour that survives the death, and completes.
 	plan := &FaultPlan{Links: []LinkFault{{C: Coord{0, 0, 0}, Dim: 0, Pos: true, At: 1}}}
 	eng, _, ifcs := armedRing(t, 4, plan, true)
 	var got Packet
@@ -279,8 +288,11 @@ func TestUnroutableSurfacesTypedError(t *testing.T) {
 	eng, net, ifcs := armedRing(t, 4, plan, true)
 	eng.At(5, func() {})
 	eng.RunUntilIdle()
-	if err := net.ValidateRoutable(); !errors.Is(err, ErrUnroutable) {
-		t.Fatalf("ValidateRoutable = %v, want ErrUnroutable", err)
+	f := net.faults
+	if a, b, ok := unreachablePair(net.cfg.Dims, f.linkAlive, f.nodeAlive); ok {
+		t.Fatal("wiring check passed with node 0 cut off")
+	} else if a != (Coord{0, 0, 0}) {
+		t.Fatalf("wiring check named %v -> %v, want a pair leaving node 0", a, b)
 	}
 	var perr error
 	done := false
@@ -340,7 +352,7 @@ func TestNodeFailKillsInterface(t *testing.T) {
 	if !sdone || serr == nil {
 		t.Fatalf("put to dead node: done=%v err=%v, want delivery error", sdone, serr)
 	}
-	// The route table has already dropped the dead node, so the sender
+	// Routing already excludes the dead node, so the sender
 	// learns unroutability immediately rather than burning retransmits.
 	if !errors.Is(serr, ErrUnroutable) {
 		t.Fatalf("put error = %v, want ErrUnroutable", serr)
@@ -430,5 +442,44 @@ func TestRetransExtendsLinkReservation(t *testing.T) {
 	// which the old accounting (arrival-only penalty) dropped.
 	if gap := arrivals[1] - arrivals[0]; gap < 9*ser {
 		t.Fatalf("inter-arrival gap %d under-charges retransmission (want >= %d)", gap, 9*ser)
+	}
+}
+
+// TestMidplaneRoutingCost gates the fault layer's host cost on a
+// 512-node 8×8×8 midplane: validating and arming a plan costs a couple of
+// walks, and a link death followed by one route lookup costs one walk
+// from that lookup's source — never a table over every pair of nodes.
+func TestMidplaneRoutingCost(t *testing.T) {
+	const armLimit, deathLimit = 1 << 20, 256 << 10
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	dims := Coord{8, 8, 8}
+	plan := DrawFaultPlan(sim.NewRNG(1), dims, 16, 4, 1000)
+	var before, after runtime.MemStats
+
+	net := New(sim.NewEngine(), DefaultConfig(dims))
+	runtime.ReadMemStats(&before)
+	if err := CheckPlanWiring(dims, plan); err != nil {
+		t.Fatal(err)
+	}
+	net.ArmFaults(plan, true, nil)
+	runtime.ReadMemStats(&after)
+	if b := after.TotalAlloc - before.TotalAlloc; b > armLimit {
+		t.Fatalf("wiring check + ArmFaults on %v allocate %d bytes, want <= %d", dims, b, armLimit)
+	}
+
+	eng := sim.NewEngine()
+	net = New(eng, DefaultConfig(dims))
+	net.ArmFaults(&FaultPlan{Links: plan.Links}, true, nil)
+	src, dst := Coord{0, 0, 0}, Coord{4, 4, 4}
+	net.faults.path(src, dst, dims) // a cached walk the death must drop
+	runtime.ReadMemStats(&before)
+	eng.Step()
+	p := net.faults.path(src, dst, dims)
+	runtime.ReadMemStats(&after)
+	if net.DeadLinks() != 1 || len(p) != net.Hops(src, dst) {
+		t.Fatalf("after one link death: %d dead links, route of %d hops", net.DeadLinks(), len(p))
+	}
+	if b := after.TotalAlloc - before.TotalAlloc; b > deathLimit {
+		t.Fatalf("one link death + one route lookup on %v allocate %d bytes, want <= %d", dims, b, deathLimit)
 	}
 }

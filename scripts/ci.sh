@@ -102,10 +102,17 @@ I/O-node aggregation: determinism + ion_crash + ioscale golden ; - ; ./internal/
 # network faults must leave the legacy torus path untouched; an
 # unroutable plan must be refused at boot; the net-fault control-system
 # consequences (localization, blacklist, typed budget error) must hold;
-# and the degrade sweep must match its golden.
+# the degrade sweep must match its golden; the lazy per-source router
+# must return the all-pairs reference's path for every pair after every
+# seeded death (and dimension-ordered routes on a healthy torus), the
+# two-walk wiring check must give the all-pairs verdict, and an 8x8x8
+# midplane must arm faults and route after a death in a few walks' worth
+# of memory.
 fault-tolerant torus: fault matrix + nil-path + degrade golden ; race ; ./internal/machine/ ; TestTorusFaultMatrix|TestTorusFaultsOffChangesNothing|TestUnroutablePartitionFailsBoot
 fault-tolerant torus: fault matrix + nil-path + degrade golden ; race ; ./internal/ctrlsys/ ; TestLinkFaultLocalizedAndSurvived|TestNodeFaultExhaustsBudgetTyped
 fault-tolerant torus: fault matrix + nil-path + degrade golden ; - ; ./internal/experiments/ ; TestGolden/degrade
+fault-tolerant torus: fault matrix + nil-path + degrade golden ; - ; ./internal/torus/ ; TestRoutesMatchAllPairsReference|TestWiringCheckMatchesAllPairs|TestHealthyRoutesAreDimensionOrdered
+fault-tolerant torus: fault matrix + nil-path + degrade golden ; - ; ./internal/torus/ ; TestMidplaneRoutingCost
 
 # Sim fast path: the timer-wheel scheduler must replay seeded event
 # workloads AND full machine fault-replay runs bit-identically to the
