@@ -2,6 +2,7 @@ package ciod
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"bgcnk/internal/fs"
@@ -34,6 +35,9 @@ func FuzzMarshal(f *testing.F) {
 	retry := MarshalRequest(&Request{Op: OpWrite, PID: 1, TID: 5, FD: 3,
 		Size: 8, Data: []byte("deadbeef")})
 	f.Add(retry[:len(retry)-3])
+	// Readdir reply payloads: a listing, and a count no payload holds.
+	f.Add([]byte("\x00\x00\x00\x02\x00\x00\x00\x01a\x00\x00\x00\x02bc"))
+	f.Add([]byte{0x00, 0x10, 0x00, 0x00})
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, wire []byte) {
@@ -61,6 +65,17 @@ func FuzzMarshal(f *testing.F) {
 				t.Fatalf("stat round trip changed: %+v vs %+v (%v)", st, st2, err2)
 			}
 		}
+		if names, err := DecodeNames(wire); err == nil {
+			e := newEnc()
+			e.U32(uint32(len(names)))
+			for _, n := range names {
+				e.Str(n)
+			}
+			again, err2 := DecodeNames(e.B)
+			if err2 != nil || !reflect.DeepEqual(names, again) {
+				t.Fatalf("readdir names round trip changed: %q vs %q (%v)", names, again, err2)
+			}
+		}
 	})
 }
 
@@ -82,5 +97,28 @@ func TestMarshalRoundTripExhaustive(t *testing.T) {
 		if !reflect.DeepEqual(req, got) {
 			t.Fatalf("op %s round trip:\n%+v\nvs\n%+v", OpName(op), req, got)
 		}
+	}
+}
+
+// TestDecodeNamesBoundsCount feeds DecodeNames a readdir payload whose
+// count (2^20 names) no 4-byte payload can hold: it must fail without
+// sizing an allocation by the claimed count.
+func TestDecodeNamesBoundsCount(t *testing.T) {
+	hostile := []byte{0x00, 0x10, 0x00, 0x00}
+	if names, err := DecodeNames(hostile); err == nil {
+		t.Fatalf("count of 2^20 in 4 bytes accepted: %d names", len(names))
+	}
+	// The fewest bytes of three tries, so another goroutine allocating
+	// meanwhile cannot fail the test.
+	least := ^uint64(0)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		DecodeNames(hostile)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= 4096 {
+		t.Errorf("rejecting a 2^20 count allocated %d bytes", least)
 	}
 }

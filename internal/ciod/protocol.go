@@ -11,7 +11,9 @@ package ciod
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
+	"bgcnk/internal/codec"
 	"bgcnk/internal/fs"
 	"bgcnk/internal/kernel"
 	"bgcnk/internal/sim"
@@ -88,101 +90,61 @@ type Transport interface {
 	Call(c *sim.Coro, req *Request) *Reply
 }
 
-// --- wire marshalling (encoding/binary, big-endian like the hardware) ---
+// --- wire marshalling (big-endian like the hardware; lengths are bounded
+// only by the bytes present, and trailing bytes are ignored) ---
 
-type enc struct{ b []byte }
+func newEnc() codec.Enc { return codec.Enc{Order: binary.BigEndian} }
 
-func (e *enc) u8(v uint8)   { e.b = append(e.b, v) }
-func (e *enc) u16(v uint16) { e.b = binary.BigEndian.AppendUint16(e.b, v) }
-func (e *enc) u32(v uint32) { e.b = binary.BigEndian.AppendUint32(e.b, v) }
-func (e *enc) u64(v uint64) { e.b = binary.BigEndian.AppendUint64(e.b, v) }
-func (e *enc) i32(v int32)  { e.u32(uint32(v)) }
-func (e *enc) i64(v int64)  { e.u64(uint64(v)) }
-func (e *enc) str(s string) { e.u32(uint32(len(s))); e.b = append(e.b, s...) }
-func (e *enc) bytes(p []byte) {
-	e.u32(uint32(len(p)))
-	e.b = append(e.b, p...)
-}
-
-type dec struct {
-	b   []byte
-	err error
-}
-
-func (d *dec) need(n int) []byte {
-	if d.err == nil && n >= 0 && len(d.b) >= n {
-		v := d.b[:n]
-		d.b = d.b[n:]
-		return v
-	}
-	d.err = fmt.Errorf("ciod: truncated message")
-	// Never allocate the claimed length: a corrupt header can claim 4GB.
-	// Fixed-width readers need at most 8 zero bytes to limp along.
-	if n > 8 || n < 0 {
-		n = 8
-	}
-	return make([]byte, n)
-}
-func (d *dec) u8() uint8   { return d.need(1)[0] }
-func (d *dec) u16() uint16 { return binary.BigEndian.Uint16(d.need(2)) }
-func (d *dec) u32() uint32 { return binary.BigEndian.Uint32(d.need(4)) }
-func (d *dec) u64() uint64 { return binary.BigEndian.Uint64(d.need(8)) }
-func (d *dec) i32() int32  { return int32(d.u32()) }
-func (d *dec) i64() int64  { return int64(d.u64()) }
-func (d *dec) str() string { return string(d.need(int(d.u32()))) }
-func (d *dec) bytes() []byte {
-	n := int(d.u32())
-	return append([]byte(nil), d.need(n)...)
-}
+func newDec(b []byte) *codec.Dec { return codec.NewDec(b, binary.BigEndian, "ciod: message") }
 
 // MarshalRequest renders the request in wire format.
 func MarshalRequest(r *Request) []byte {
-	e := &enc{}
-	e.u8(r.Op)
-	e.u32(r.PID)
-	e.u32(r.TID)
-	e.u32(r.UID)
-	e.u32(r.GID)
-	e.i32(r.FD)
-	e.i32(r.FD2)
-	e.u64(r.Flags)
-	e.u16(r.Mode)
-	e.i64(r.Off)
-	e.i32(r.Whence)
-	e.u64(r.Size)
-	e.str(r.Path)
-	e.str(r.Path2)
-	e.bytes(r.Data)
-	return e.b
+	e := newEnc()
+	e.U8(r.Op)
+	e.U32(r.PID)
+	e.U32(r.TID)
+	e.U32(r.UID)
+	e.U32(r.GID)
+	e.U32(uint32(r.FD))
+	e.U32(uint32(r.FD2))
+	e.U64(r.Flags)
+	e.U16(r.Mode)
+	e.U64(uint64(r.Off))
+	e.U32(uint32(r.Whence))
+	e.U64(r.Size)
+	e.Str(r.Path)
+	e.Str(r.Path2)
+	e.Blob(r.Data)
+	return e.B
 }
 
 // UnmarshalRequest parses wire format.
 func UnmarshalRequest(b []byte) (*Request, error) {
-	d := &dec{b: b}
+	d := newDec(b)
 	r := &Request{
-		Op: d.u8(), PID: d.u32(), TID: d.u32(), UID: d.u32(), GID: d.u32(),
-		FD: d.i32(), FD2: d.i32(), Flags: d.u64(), Mode: d.u16(),
-		Off: d.i64(), Whence: d.i32(), Size: d.u64(),
-		Path: d.str(), Path2: d.str(), Data: d.bytes(),
+		Op: d.U8(), PID: d.U32(), TID: d.U32(), UID: d.U32(), GID: d.U32(),
+		FD: int32(d.U32()), FD2: int32(d.U32()), Flags: d.U64(), Mode: d.U16(),
+		Off: int64(d.U64()), Whence: int32(d.U32()), Size: d.U64(),
+		Path: d.Str(math.MaxUint32), Path2: d.Str(math.MaxUint32), Data: d.Blob(math.MaxUint32),
 	}
-	return r, d.err
+	return r, d.Err()
 }
 
 // MarshalReply renders a reply in wire format.
 func MarshalReply(r *Reply) []byte {
-	e := &enc{}
-	e.u64(r.Ret)
-	e.i32(int32(r.Errno))
-	e.str(r.Str)
-	e.bytes(r.Data)
-	return e.b
+	e := newEnc()
+	e.U64(r.Ret)
+	e.U32(uint32(r.Errno))
+	e.Str(r.Str)
+	e.Blob(r.Data)
+	return e.B
 }
 
 // UnmarshalReply parses a reply.
 func UnmarshalReply(b []byte) (*Reply, error) {
-	d := &dec{b: b}
-	r := &Reply{Ret: d.u64(), Errno: kernel.Errno(d.i32()), Str: d.str(), Data: d.bytes()}
-	return r, d.err
+	d := newDec(b)
+	r := &Reply{Ret: d.U64(), Errno: kernel.Errno(int32(d.U32())), Str: d.Str(math.MaxUint32), Data: d.Blob(math.MaxUint32)}
+	return r, d.Err()
 }
 
 // StatWireSize is the byte length of a marshalled Stat.
@@ -190,24 +152,24 @@ const StatWireSize = 8 + 1 + 2 + 4 + 4 + 8 + 4 + 8
 
 // MarshalStat encodes a Stat into reply data.
 func MarshalStat(st fs.Stat) []byte {
-	e := &enc{}
-	e.u64(st.Ino)
-	e.u8(uint8(st.Type))
-	e.u16(uint16(st.Mode))
-	e.u32(st.UID)
-	e.u32(st.GID)
-	e.u64(st.Size)
-	e.u32(st.Nlink)
-	e.u64(st.Mtime)
-	return e.b
+	e := newEnc()
+	e.U64(st.Ino)
+	e.U8(uint8(st.Type))
+	e.U16(uint16(st.Mode))
+	e.U32(st.UID)
+	e.U32(st.GID)
+	e.U64(st.Size)
+	e.U32(st.Nlink)
+	e.U64(st.Mtime)
+	return e.B
 }
 
 // UnmarshalStat decodes MarshalStat's output.
 func UnmarshalStat(b []byte) (fs.Stat, error) {
-	d := &dec{b: b}
+	d := newDec(b)
 	st := fs.Stat{
-		Ino: d.u64(), Type: fs.FileType(d.u8()), Mode: fs.Mode(d.u16()),
-		UID: d.u32(), GID: d.u32(), Size: d.u64(), Nlink: d.u32(), Mtime: d.u64(),
+		Ino: d.U64(), Type: fs.FileType(d.U8()), Mode: fs.Mode(d.U16()),
+		UID: d.U32(), GID: d.U32(), Size: d.U64(), Nlink: d.U32(), Mtime: d.U64(),
 	}
-	return st, d.err
+	return st, d.Err()
 }

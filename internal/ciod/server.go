@@ -2,6 +2,7 @@ package ciod
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"bgcnk/internal/collective"
@@ -476,12 +477,12 @@ func (s *Server) execute(c *sim.Coro, p *ioproxy, r *Request) *Reply {
 		if errno != kernel.OK {
 			return &Reply{Errno: errno}
 		}
-		e := &enc{}
-		e.u32(uint32(len(names)))
+		e := newEnc()
+		e.U32(uint32(len(names)))
 		for _, n := range names {
-			e.str(n)
+			e.Str(n)
 		}
-		return &Reply{Data: e.b}
+		return &Reply{Data: e.B}
 	case OpFsync:
 		// Without a cache in front there is nothing to flush; validate
 		// the descriptor like the real daemon would.
@@ -598,13 +599,19 @@ func (s *Server) executeCached(c *sim.Coro, p *ioproxy, r *Request) (*Reply, boo
 
 // DecodeNames parses an OpReaddir reply payload.
 func DecodeNames(b []byte) ([]string, error) {
-	d := &dec{b: b}
-	n := int(d.u32())
-	names := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		names = append(names, d.str())
+	d := newDec(b)
+	n := d.U32()
+	// Every name costs at least its 4-byte length prefix, so a count the
+	// payload cannot hold is rejected before it sizes an allocation.
+	if n > uint32(d.Left()/4) {
+		d.Fail("readdir count %d in %d bytes", n, d.Left())
+		return nil, d.Err()
 	}
-	return names, d.err
+	names := make([]string, 0, n)
+	for i := uint32(0); i < n && d.Err() == nil; i++ {
+		names = append(names, d.Str(math.MaxUint32))
+	}
+	return names, d.Err()
 }
 
 // FileTable returns the mirrored open-file table of the ioproxy serving

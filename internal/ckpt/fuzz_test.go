@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"bgcnk/internal/upc"
 )
 
 // fuzzSeedImages are the hand-picked images seeded into the corpus: the
@@ -79,9 +81,11 @@ func FuzzCheckpointImage(f *testing.F) {
 	})
 }
 
-// TestWriteCheckpointCorpus regenerates the committed seed corpus under
+// TestWriteCheckpointCorpus writes the committed seed corpus under
 // testdata/fuzz/FuzzCheckpointImage. Skipped unless GEN_CORPUS=1; rerun
-// after changing the wire format or the seed set.
+// after changing the wire format or the seed set. Layout-dependent seeds
+// carry the counter-block dimensions in their names, so seeds written for
+// an older UPC layout stay in the corpus as foreign-layout rejects.
 func TestWriteCheckpointCorpus(t *testing.T) {
 	if os.Getenv("GEN_CORPUS") == "" {
 		t.Skip("set GEN_CORPUS=1 to regenerate the committed fuzz corpus")
@@ -96,21 +100,61 @@ func TestWriteCheckpointCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	layout := fmt.Sprintf("seed_%dx%dx%d_", upc.NumSlots, upc.NumCounters, upc.MaxSyscalls)
 	seeds := fuzzSeedImages()
-	write("seed_empty_image", seeds[0].Marshal())
-	write("seed_typical", seeds[1].Marshal())
-	write("seed_extremes", seeds[2].Marshal())
-	write("seed_maxpath", seeds[3].Marshal())
-	write("seed_pageruns", seeds[4].Marshal())
+	write(layout+"empty_image", seeds[0].Marshal())
+	write(layout+"typical", seeds[1].Marshal())
+	write(layout+"extremes", seeds[2].Marshal())
+	write(layout+"maxpath", seeds[3].Marshal())
+	write(layout+"pageruns", seeds[4].Marshal())
 	typical := seeds[1].Marshal()
-	write("seed_trunc_tail", typical[:len(typical)-1])
-	write("seed_trunc_half", typical[:len(typical)/2])
+	write(layout+"trunc_tail", typical[:len(typical)-1])
+	write(layout+"trunc_half", typical[:len(typical)/2])
 	hostileNodes := append([]byte{}, typical...)
 	hostileNodes[17], hostileNodes[18], hostileNodes[19], hostileNodes[20] = 0xff, 0xff, 0xff, 0x7f
-	write("seed_hostile_nodes", hostileNodes)
+	write(layout+"hostile_nodes", hostileNodes)
 	hostileRegions := append([]byte{}, typical...)
 	hostileRegions[25], hostileRegions[26], hostileRegions[27], hostileRegions[28] = 0xff, 0xff, 0xff, 0x7f
-	write("seed_hostile_regions", hostileRegions)
+	write(layout+"hostile_regions", hostileRegions)
 	write("seed_empty", []byte{})
 	write("seed_junk", []byte{0xff, 0xff, 0xff, 0xff})
+}
+
+// TestCommittedCorpusDecodes guards the committed corpus against going
+// stale: at least one seed must decode under the current layout and carry
+// regions, threads and files, so the fuzzer starts past the header checks.
+func TestCommittedCorpusDecodes(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzCheckpointImage")
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deep := 0
+	for _, e := range ents {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+		if !ok {
+			t.Fatalf("%s: not a one-argument []byte corpus file", e.Name())
+		}
+		data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name(), err)
+		}
+		img, err := Unmarshal([]byte(data))
+		if err != nil {
+			continue
+		}
+		for _, n := range img.Nodes {
+			if len(n.Regions) > 0 && len(n.Threads) > 0 && len(n.Files) > 0 {
+				deep++
+				break
+			}
+		}
+	}
+	if deep == 0 {
+		t.Errorf("no committed seed in %s decodes to a node with regions, threads and files; regenerate with GEN_CORPUS=1", dir)
+	}
 }

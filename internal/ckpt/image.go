@@ -22,9 +22,11 @@
 package ckpt
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 
+	"bgcnk/internal/codec"
 	"bgcnk/internal/upc"
 )
 
@@ -99,52 +101,75 @@ func RegionDigest(name string, vbase, size uint64) uint64 {
 	return h.Sum64()
 }
 
-// Marshal encodes the image.
+// Marshal encodes the image into one buffer of exactly its wire size.
 func (img *Image) Marshal() []byte {
-	e := &cenc{}
-	e.u32(imageMagic)
-	e.u8(imageVersion)
-	e.u32(uint32(img.JobID))
-	e.u32(img.Epoch)
-	e.u8(img.Kind)
+	e := codec.Enc{B: make([]byte, 0, img.wireSize()), Order: binary.LittleEndian}
+	e.U32(imageMagic)
+	e.U8(imageVersion)
+	e.U32(uint32(img.JobID))
+	e.U32(img.Epoch)
+	e.U8(img.Kind)
 	// Counter-block dimensions are part of the format: an image written
 	// by a kernel with a different UPC layout must not decode silently.
-	e.u8(upc.NumSlots)
-	e.u8(uint8(upc.NumCounters))
-	e.u8(upc.MaxSyscalls)
-	e.u32(uint32(len(img.Nodes)))
+	e.U8(upc.NumSlots)
+	e.U8(uint8(upc.NumCounters))
+	e.U8(upc.MaxSyscalls)
+	e.U32(uint32(len(img.Nodes)))
 	for i := range img.Nodes {
 		n := &img.Nodes[i]
-		e.u32(uint32(n.Node))
-		e.u32(uint32(len(n.Regions)))
+		e.U32(uint32(n.Node))
+		e.U32(uint32(len(n.Regions)))
 		for _, r := range n.Regions {
-			e.u64(r.VBase)
-			e.u64(r.Size)
-			e.u64(r.Digest)
+			e.U64(r.VBase)
+			e.U64(r.Size)
+			e.U64(r.Digest)
 		}
-		e.u32(uint32(len(n.Threads)))
+		e.U32(uint32(len(n.Threads)))
 		for _, t := range n.Threads {
-			e.u32(t.TID)
-			e.u64(t.PC)
-			e.u64(t.SP)
+			e.U32(t.TID)
+			e.U64(t.PC)
+			e.U64(t.SP)
 		}
 		for sl := 0; sl < upc.NumSlots; sl++ {
 			for c := 0; c < int(upc.NumCounters); c++ {
-				e.u64(n.Counters.Vals[sl][c])
+				e.U64(n.Counters.Vals[sl][c])
 			}
 			for s := 0; s < upc.MaxSyscalls; s++ {
-				e.u64(n.Counters.Sys[sl][s])
+				e.U64(n.Counters.Sys[sl][s])
 			}
 		}
-		e.u32(uint32(len(n.Files)))
+		e.U32(uint32(len(n.Files)))
 		for _, f := range n.Files {
-			e.u32(uint32(f.FD))
-			e.u64(f.Offset)
-			e.u64(f.Flags)
-			e.str(f.Path)
+			e.U32(uint32(f.FD))
+			e.U64(f.Offset)
+			e.U64(f.Flags)
+			e.Str(f.Path[:min(len(f.Path), MaxPath)])
 		}
 	}
-	return e.b
+	return e.B
+}
+
+// Fixed wire sizes: the image header, one region, one thread, one file
+// entry without its path, and one node's counter block.
+const (
+	headerBytes  = 4 + 1 + 4 + 4 + 1 + 3 + 4
+	regionBytes  = 3 * 8
+	threadBytes  = 4 + 2*8
+	fileBytes    = 4 + 2*8 + 4
+	counterBytes = 8 * upc.NumSlots * (int(upc.NumCounters) + upc.MaxSyscalls)
+)
+
+// wireSize is the exact length Marshal produces.
+func (img *Image) wireSize() int {
+	size := headerBytes
+	for i := range img.Nodes {
+		n := &img.Nodes[i]
+		size += 4 + 4 + len(n.Regions)*regionBytes + 4 + len(n.Threads)*threadBytes + counterBytes + 4
+		for _, f := range n.Files {
+			size += fileBytes + min(len(f.Path), MaxPath)
+		}
+	}
+	return size
 }
 
 // Unmarshal decodes and validates a checkpoint image. It rejects bad
@@ -153,28 +178,28 @@ func (img *Image) Marshal() []byte {
 // unsorted threads or files, and trailing bytes. Any accepted input
 // re-marshals to the identical byte string.
 func Unmarshal(b []byte) (*Image, error) {
-	d := &cdec{b: b}
-	if m := d.u32(); d.err == nil && m != imageMagic {
+	d := codec.NewDec(b, binary.LittleEndian, "ckpt: image")
+	if m := d.U32(); d.Err() == nil && m != imageMagic {
 		return nil, fmt.Errorf("ckpt: bad image magic %#x", m)
 	}
-	if v := d.u8(); d.err == nil && v != imageVersion {
+	if v := d.U8(); d.Err() == nil && v != imageVersion {
 		return nil, fmt.Errorf("ckpt: unsupported image version %d", v)
 	}
 	img := &Image{}
-	img.JobID = int32(d.u32())
-	img.Epoch = d.u32()
-	img.Kind = d.u8()
-	slots, counters, syscalls := d.u8(), d.u8(), d.u8()
-	if d.err != nil {
-		return nil, d.err
+	img.JobID = int32(d.U32())
+	img.Epoch = d.U32()
+	img.Kind = d.U8()
+	slots, counters, syscalls := d.U8(), d.U8(), d.U8()
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	if slots != upc.NumSlots || counters != uint8(upc.NumCounters) || syscalls != upc.MaxSyscalls {
 		return nil, fmt.Errorf("ckpt: counter dimensions %d/%d/%d do not match this kernel (%d/%d/%d)",
 			slots, counters, syscalls, upc.NumSlots, upc.NumCounters, upc.MaxSyscalls)
 	}
-	nodes := int(d.u32())
-	if d.err != nil {
-		return nil, d.err
+	nodes := int(d.U32())
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	if nodes > MaxNodes {
 		return nil, fmt.Errorf("ckpt: image claims %d nodes (max %d)", nodes, MaxNodes)
@@ -186,7 +211,7 @@ func Unmarshal(b []byte) (*Image, error) {
 	}
 	img.Nodes = make([]NodeState, 0, nodes)
 	for i := 0; i < nodes; i++ {
-		n, err := d.node()
+		n, err := decodeNode(d)
 		if err != nil {
 			return nil, err
 		}
@@ -195,33 +220,30 @@ func Unmarshal(b []byte) (*Image, error) {
 		}
 		img.Nodes = append(img.Nodes, n)
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(d.b) {
-		return nil, fmt.Errorf("ckpt: %d trailing bytes after image", len(d.b)-d.off)
+	if err := d.Finish(); err != nil {
+		return nil, err
 	}
 	return img, nil
 }
 
-func (d *cdec) node() (NodeState, error) {
+func decodeNode(d *codec.Dec) (NodeState, error) {
 	var n NodeState
-	n.Node = int32(d.u32())
-	regions := int(d.u32())
-	if d.err != nil {
-		return n, d.err
+	n.Node = int32(d.U32())
+	regions := int(d.U32())
+	if d.Err() != nil {
+		return n, d.Err()
 	}
 	if regions > MaxRegions {
 		return n, fmt.Errorf("ckpt: node %d claims %d regions (max %d)", n.Node, regions, MaxRegions)
 	}
-	if regions*24 > len(d.b)-d.off {
+	if regions*regionBytes > d.Left() {
 		return n, fmt.Errorf("ckpt: node %d region table truncated", n.Node)
 	}
 	n.Regions = make([]Region, 0, regions)
 	for r := 0; r < regions; r++ {
-		reg := Region{VBase: d.u64(), Size: d.u64(), Digest: d.u64()}
-		if d.err != nil {
-			return n, d.err
+		reg := Region{VBase: d.U64(), Size: d.U64(), Digest: d.U64()}
+		if d.Err() != nil {
+			return n, d.Err()
 		}
 		if reg.Size == 0 {
 			return n, fmt.Errorf("ckpt: node %d region %d has zero size", n.Node, r)
@@ -237,21 +259,21 @@ func (d *cdec) node() (NodeState, error) {
 		}
 		n.Regions = append(n.Regions, reg)
 	}
-	threads := int(d.u32())
-	if d.err != nil {
-		return n, d.err
+	threads := int(d.U32())
+	if d.Err() != nil {
+		return n, d.Err()
 	}
 	if threads > MaxThreads {
 		return n, fmt.Errorf("ckpt: node %d claims %d threads (max %d)", n.Node, threads, MaxThreads)
 	}
-	if threads*20 > len(d.b)-d.off {
+	if threads*threadBytes > d.Left() {
 		return n, fmt.Errorf("ckpt: node %d thread table truncated", n.Node)
 	}
 	n.Threads = make([]RegState, 0, threads)
 	for t := 0; t < threads; t++ {
-		ts := RegState{TID: d.u32(), PC: d.u64(), SP: d.u64()}
-		if d.err != nil {
-			return n, d.err
+		ts := RegState{TID: d.U32(), PC: d.U64(), SP: d.U64()}
+		if d.Err() != nil {
+			return n, d.Err()
 		}
 		if t > 0 && ts.TID <= n.Threads[t-1].TID {
 			return n, fmt.Errorf("ckpt: node %d thread %d out of order", n.Node, t)
@@ -260,27 +282,27 @@ func (d *cdec) node() (NodeState, error) {
 	}
 	for sl := 0; sl < upc.NumSlots; sl++ {
 		for c := 0; c < int(upc.NumCounters); c++ {
-			n.Counters.Vals[sl][c] = d.u64()
+			n.Counters.Vals[sl][c] = d.U64()
 		}
 		for s := 0; s < upc.MaxSyscalls; s++ {
-			n.Counters.Sys[sl][s] = d.u64()
+			n.Counters.Sys[sl][s] = d.U64()
 		}
 	}
-	files := int(d.u32())
-	if d.err != nil {
-		return n, d.err
+	files := int(d.U32())
+	if d.Err() != nil {
+		return n, d.Err()
 	}
 	if files > MaxFiles {
 		return n, fmt.Errorf("ckpt: node %d claims %d open files (max %d)", n.Node, files, MaxFiles)
 	}
-	if files*24 > len(d.b)-d.off {
+	if files*fileBytes > d.Left() {
 		return n, fmt.Errorf("ckpt: node %d file table truncated", n.Node)
 	}
 	n.Files = make([]FileState, 0, files)
 	for f := 0; f < files; f++ {
-		fe := FileState{FD: int32(d.u32()), Offset: d.u64(), Flags: d.u64(), Path: d.str()}
-		if d.err != nil {
-			return n, d.err
+		fe := FileState{FD: int32(d.U32()), Offset: d.U64(), Flags: d.U64(), Path: d.Str(MaxPath)}
+		if d.Err() != nil {
+			return n, d.Err()
 		}
 		if fe.FD < 0 {
 			return n, fmt.Errorf("ckpt: node %d file %d has negative descriptor", n.Node, f)
@@ -290,7 +312,7 @@ func (d *cdec) node() (NodeState, error) {
 		}
 		n.Files = append(n.Files, fe)
 	}
-	return n, d.err
+	return n, d.Err()
 }
 
 // WorkSignature digests the counters that are a pure function of the
@@ -323,74 +345,4 @@ var workCounters = []upc.Counter{
 	upc.DMADescriptor, upc.TorusPacket, upc.TorusBytes,
 	upc.CollPacket, upc.CollBytes, upc.CombineOp,
 	upc.FutexWait, upc.FutexWake,
-}
-
-type cenc struct{ b []byte }
-
-func (e *cenc) u8(v uint8)   { e.b = append(e.b, v) }
-func (e *cenc) u32(v uint32) { e.b = append(e.b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24)) }
-func (e *cenc) u64(v uint64) {
-	e.u32(uint32(v))
-	e.u32(uint32(v >> 32))
-}
-func (e *cenc) str(s string) {
-	if len(s) > MaxPath {
-		s = s[:MaxPath]
-	}
-	e.u32(uint32(len(s)))
-	e.b = append(e.b, s...)
-}
-
-type cdec struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *cdec) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("ckpt: truncated image at offset %d", d.off)
-	}
-}
-
-func (d *cdec) u8() uint8 {
-	if d.err != nil || d.off+1 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *cdec) u32() uint32 {
-	if d.err != nil || d.off+4 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	b := d.b[d.off:]
-	d.off += 4
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func (d *cdec) u64() uint64 {
-	lo := d.u32()
-	hi := d.u32()
-	return uint64(lo) | uint64(hi)<<32
-}
-
-func (d *cdec) str() string {
-	n := int(d.u32())
-	if d.err != nil {
-		return ""
-	}
-	// Bound the allocation by both the path cap and the bytes actually
-	// present (a hostile length must not drive a huge allocation).
-	if n > MaxPath || d.off+n > len(d.b) {
-		d.fail()
-		return ""
-	}
-	s := string(d.b[d.off : d.off+n])
-	d.off += n
-	return s
 }

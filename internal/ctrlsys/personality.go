@@ -1,7 +1,10 @@
 package ctrlsys
 
 import (
+	"encoding/binary"
 	"fmt"
+
+	"bgcnk/internal/codec"
 )
 
 // Personality is the per-node boot record the control system delivers
@@ -22,7 +25,7 @@ type Personality struct {
 	MemBytes  uint64 // DDR size
 }
 
-// Wire format (the journal codec's: little-endian integers, u32
+// Wire format (the control system's little-endian codec, u32
 // length-prefixed strings): magic, version, fixed-width fields, block
 // name. Decoders must accept exactly what Marshal produces and nothing
 // else (no trailing bytes), so any accepted input re-marshals to itself.
@@ -32,53 +35,50 @@ const (
 	maxBlockName       = 256
 )
 
-// Marshal encodes the personality.
+// Marshal encodes the personality, truncating the block name to
+// maxBlockName bytes.
 func (p *Personality) Marshal() []byte {
-	block := p.Block
-	if len(block) > maxBlockName {
-		block = block[:maxBlockName]
-	}
-	e := &jenc{}
-	e.u32(personalityMagic)
-	e.u8(personalityVersion)
-	e.u32(uint32(p.Rank))
-	e.u32(uint32(p.Nodes))
-	e.u32(uint32(p.X))
-	e.u32(uint32(p.Y))
-	e.u32(uint32(p.Z))
-	e.u32(uint32(p.Partition))
-	e.u32(uint32(p.Base))
-	e.str(block)
-	e.u8(p.Kind)
-	e.u64(p.Seed)
-	e.u64(p.MemBytes)
-	return e.b
+	e := newEnc()
+	e.U32(personalityMagic)
+	e.U8(personalityVersion)
+	e.U32(uint32(p.Rank))
+	e.U32(uint32(p.Nodes))
+	e.U32(uint32(p.X))
+	e.U32(uint32(p.Y))
+	e.U32(uint32(p.Z))
+	e.U32(uint32(p.Partition))
+	e.U32(uint32(p.Base))
+	e.Str(p.Block[:min(len(p.Block), maxBlockName)])
+	e.U8(p.Kind)
+	e.U64(p.Seed)
+	e.U64(p.MemBytes)
+	return e.B
 }
 
 // UnmarshalPersonality decodes one personality record, rejecting bad
 // magic, unknown versions, oversized block names, truncation, and
 // trailing garbage.
 func UnmarshalPersonality(b []byte) (*Personality, error) {
-	d := &jdec{b: b, what: "personality"}
-	if m := d.u32(); d.err == nil && m != personalityMagic {
+	d := codec.NewDec(b, binary.LittleEndian, "ctrlsys: personality")
+	if m := d.U32(); d.Err() == nil && m != personalityMagic {
 		return nil, fmt.Errorf("ctrlsys: bad personality magic %#x", m)
 	}
-	if v := d.u8(); d.err == nil && v != personalityVersion {
+	if v := d.U8(); d.Err() == nil && v != personalityVersion {
 		return nil, fmt.Errorf("ctrlsys: unsupported personality version %d", v)
 	}
 	p := &Personality{}
-	p.Rank = int32(d.u32())
-	p.Nodes = int32(d.u32())
-	p.X = int32(d.u32())
-	p.Y = int32(d.u32())
-	p.Z = int32(d.u32())
-	p.Partition = int32(d.u32())
-	p.Base = int32(d.u32())
-	p.Block = d.str(maxBlockName)
-	p.Kind = d.u8()
-	p.Seed = d.u64()
-	p.MemBytes = d.u64()
-	if err := d.finish(); err != nil {
+	p.Rank = int32(d.U32())
+	p.Nodes = int32(d.U32())
+	p.X = int32(d.U32())
+	p.Y = int32(d.U32())
+	p.Z = int32(d.U32())
+	p.Partition = int32(d.U32())
+	p.Base = int32(d.U32())
+	p.Block = d.Str(maxBlockName)
+	p.Kind = d.U8()
+	p.Seed = d.U64()
+	p.MemBytes = d.U64()
+	if err := d.Finish(); err != nil {
 		return nil, err
 	}
 	return p, nil

@@ -3,6 +3,9 @@ package ion
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+
+	"bgcnk/internal/codec"
 )
 
 // Frame is the multiplexed CN→ION framing. When the ION subsystem is
@@ -29,35 +32,25 @@ const frameHeader = 1 + 4 + 4 + 4 + 4
 // MarshalFrame renders the frame in wire format (big-endian, like the
 // rest of the protocol stack).
 func MarshalFrame(f *Frame) []byte {
-	b := make([]byte, 0, frameHeader+len(f.Payload))
-	b = append(b, frameMagic)
-	b = binary.BigEndian.AppendUint32(b, uint32(f.CN))
-	b = binary.BigEndian.AppendUint32(b, f.PID)
-	b = binary.BigEndian.AppendUint32(b, f.Tag)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(f.Payload)))
-	b = append(b, f.Payload...)
-	return b
+	e := codec.Enc{B: make([]byte, 0, frameHeader+len(f.Payload)), Order: binary.BigEndian}
+	e.U8(frameMagic)
+	e.U32(uint32(f.CN))
+	e.U32(f.PID)
+	e.U32(f.Tag)
+	e.Blob(f.Payload)
+	return e.B
 }
 
 // UnmarshalFrame parses wire format strictly: bad magic, short buffers,
 // and length mismatches (including trailing garbage) are all errors.
 func UnmarshalFrame(b []byte) (*Frame, error) {
-	if len(b) < frameHeader {
-		return nil, fmt.Errorf("ion: frame truncated (%d bytes)", len(b))
+	d := codec.NewDec(b, binary.BigEndian, "ion: frame")
+	if m := d.U8(); d.Err() == nil && m != frameMagic {
+		return nil, fmt.Errorf("ion: bad frame magic %#x", m)
 	}
-	if b[0] != frameMagic {
-		return nil, fmt.Errorf("ion: bad frame magic %#x", b[0])
+	f := &Frame{CN: int32(d.U32()), PID: d.U32(), Tag: d.U32(), Payload: d.Blob(math.MaxUint32)}
+	if err := d.Finish(); err != nil {
+		return nil, err
 	}
-	f := &Frame{
-		CN:  int32(binary.BigEndian.Uint32(b[1:5])),
-		PID: binary.BigEndian.Uint32(b[5:9]),
-		Tag: binary.BigEndian.Uint32(b[9:13]),
-	}
-	n := binary.BigEndian.Uint32(b[13:17])
-	rest := b[frameHeader:]
-	if uint64(n) != uint64(len(rest)) {
-		return nil, fmt.Errorf("ion: frame payload length %d, have %d", n, len(rest))
-	}
-	f.Payload = append([]byte(nil), rest...)
 	return f, nil
 }

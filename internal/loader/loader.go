@@ -9,10 +9,13 @@
 package loader
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 
+	"bgcnk/internal/codec"
 	"bgcnk/internal/hw"
 	"bgcnk/internal/kernel"
 	"bgcnk/internal/sim"
@@ -56,115 +59,49 @@ func (im *Image) Lookup(name string) (Sym, bool) {
 	return Sym{}, false
 }
 
-// Marshal renders the image in wire/file format (big-endian).
+// Marshal renders the image in wire/file format (big-endian; the text and
+// data sections carry u64 lengths, strings u32 ones).
 func (im *Image) Marshal() []byte {
-	var b []byte
-	b = append(b, Magic[:]...)
-	putStr := func(s string) {
-		b = binary.BigEndian.AppendUint32(b, uint32(len(s)))
-		b = append(b, s...)
-	}
-	putBytes := func(p []byte) {
-		b = binary.BigEndian.AppendUint64(b, uint64(len(p)))
-		b = append(b, p...)
-	}
-	putStr(im.Name)
-	putBytes(im.Text)
-	putBytes(im.Data)
-	b = binary.BigEndian.AppendUint64(b, im.BSS)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(im.Needed)))
+	e := codec.Enc{Order: binary.BigEndian}
+	e.B = append(e.B, Magic[:]...)
+	e.Str(im.Name)
+	e.U64(uint64(len(im.Text)))
+	e.B = append(e.B, im.Text...)
+	e.U64(uint64(len(im.Data)))
+	e.B = append(e.B, im.Data...)
+	e.U64(im.BSS)
+	e.U32(uint32(len(im.Needed)))
 	for _, n := range im.Needed {
-		putStr(n)
+		e.Str(n)
 	}
-	b = binary.BigEndian.AppendUint32(b, uint32(len(im.Symbols)))
+	e.U32(uint32(len(im.Symbols)))
 	for _, s := range im.Symbols {
-		putStr(s.Name)
-		b = binary.BigEndian.AppendUint64(b, s.Offset)
-		b = binary.BigEndian.AppendUint64(b, s.Cost)
+		e.Str(s.Name)
+		e.U64(s.Offset)
+		e.U64(s.Cost)
 	}
-	return b
+	return e.B
 }
 
-// Unmarshal parses a BELF image.
+// Unmarshal parses a BELF image. Lengths are bounded only by the bytes
+// present, and bytes after the symbol table are ignored.
 func Unmarshal(b []byte) (*Image, error) {
-	if len(b) < 4 || b[0] != 'B' || b[1] != 'E' || b[2] != 'L' || b[3] != 'F' {
+	if !bytes.HasPrefix(b, Magic[:]) {
 		return nil, fmt.Errorf("loader: bad magic")
 	}
-	b = b[4:]
-	fail := fmt.Errorf("loader: truncated image")
-	// need takes n bytes. Lengths are read from the image, so n is
-	// compared unsigned: a length of 2^63 or more is just too long.
-	need := func(n uint64) ([]byte, bool) {
-		if uint64(len(b)) < n {
-			return nil, false
-		}
-		v := b[:n]
-		b = b[n:]
-		return v, true
+	d := codec.NewDec(b[len(Magic):], binary.BigEndian, "loader: image")
+	im := &Image{Name: d.Str(math.MaxUint32)}
+	im.Text = append([]byte(nil), d.Raw(d.U64())...)
+	im.Data = append([]byte(nil), d.Raw(d.U64())...)
+	im.BSS = d.U64()
+	for i, n := uint32(0), d.U32(); i < n && d.Err() == nil; i++ {
+		im.Needed = append(im.Needed, d.Str(math.MaxUint32))
 	}
-	getStr := func() (string, bool) {
-		lb, ok := need(4)
-		if !ok {
-			return "", false
-		}
-		sb, ok := need(uint64(binary.BigEndian.Uint32(lb)))
-		return string(sb), ok
+	for i, n := uint32(0), d.U32(); i < n && d.Err() == nil; i++ {
+		im.Symbols = append(im.Symbols, Sym{Name: d.Str(math.MaxUint32), Offset: d.U64(), Cost: d.U64()})
 	}
-	getBytes := func() ([]byte, bool) {
-		lb, ok := need(8)
-		if !ok {
-			return nil, false
-		}
-		db, ok := need(binary.BigEndian.Uint64(lb))
-		return append([]byte(nil), db...), ok
-	}
-	im := &Image{}
-	var ok bool
-	if im.Name, ok = getStr(); !ok {
-		return nil, fail
-	}
-	if im.Text, ok = getBytes(); !ok {
-		return nil, fail
-	}
-	if im.Data, ok = getBytes(); !ok {
-		return nil, fail
-	}
-	bb, ok := need(8)
-	if !ok {
-		return nil, fail
-	}
-	im.BSS = binary.BigEndian.Uint64(bb)
-	nb, ok := need(4)
-	if !ok {
-		return nil, fail
-	}
-	for i := uint32(0); i < binary.BigEndian.Uint32(nb); i++ {
-		s, ok := getStr()
-		if !ok {
-			return nil, fail
-		}
-		im.Needed = append(im.Needed, s)
-	}
-	sb, ok := need(4)
-	if !ok {
-		return nil, fail
-	}
-	for i := uint32(0); i < binary.BigEndian.Uint32(sb); i++ {
-		var s Sym
-		if s.Name, ok = getStr(); !ok {
-			return nil, fail
-		}
-		ob, ok := need(8)
-		if !ok {
-			return nil, fail
-		}
-		s.Offset = binary.BigEndian.Uint64(ob)
-		cb, ok := need(8)
-		if !ok {
-			return nil, fail
-		}
-		s.Cost = binary.BigEndian.Uint64(cb)
-		im.Symbols = append(im.Symbols, s)
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
 	return im, nil
 }

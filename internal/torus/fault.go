@@ -20,12 +20,14 @@
 package torus
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
 	"sort"
 
+	"bgcnk/internal/codec"
 	"bgcnk/internal/ras"
 	"bgcnk/internal/sim"
 	"bgcnk/internal/upc"
@@ -225,84 +227,37 @@ func (p *FaultPlan) Marshal() []byte {
 	sort.Slice(links, func(i, j int) bool { return linkFaultLess(links[i], links[j]) })
 	sort.Slice(nodes, func(i, j int) bool { return nodeFaultLess(nodes[i], nodes[j]) })
 
-	b := make([]byte, 0, 12+len(links)*22+len(nodes)*20)
-	b = append(b, faultPlanMagic[:]...)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(links)))
+	e := codec.Enc{B: make([]byte, 0, 12+len(links)*22+len(nodes)*20), Order: binary.BigEndian}
+	e.B = append(e.B, faultPlanMagic[:]...)
+	e.U32(uint32(len(links)))
 	for _, lf := range links {
-		for d := 0; d < 3; d++ {
-			b = binary.BigEndian.AppendUint32(b, uint32(lf.C[d]))
-		}
-		b = append(b, byte(lf.Dim))
-		if lf.Pos {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-		b = binary.BigEndian.AppendUint64(b, uint64(lf.At))
+		putCoord(&e, lf.C)
+		e.U8(uint8(lf.Dim))
+		e.Bool(lf.Pos)
+		e.U64(uint64(lf.At))
 	}
-	b = binary.BigEndian.AppendUint32(b, uint32(len(nodes)))
+	e.U32(uint32(len(nodes)))
 	for _, nf := range nodes {
-		for d := 0; d < 3; d++ {
-			b = binary.BigEndian.AppendUint32(b, uint32(nf.C[d]))
-		}
-		b = binary.BigEndian.AppendUint64(b, uint64(nf.At))
+		putCoord(&e, nf.C)
+		e.U64(uint64(nf.At))
 	}
-	return b
+	return e.B
 }
 
-type planReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *planReader) u32() uint32 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+4 > len(r.b) {
-		r.err = errors.New("torus: truncated fault plan")
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *planReader) u64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+8 > len(r.b) {
-		r.err = errors.New("torus: truncated fault plan")
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *planReader) u8() byte {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+1 > len(r.b) {
-		r.err = errors.New("torus: truncated fault plan")
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *planReader) coord() Coord {
-	var c Coord
+func putCoord(e *codec.Enc, c Coord) {
 	for d := 0; d < 3; d++ {
-		v := r.u32()
-		if r.err == nil && v >= maxCoordVal {
-			r.err = fmt.Errorf("torus: fault-plan coordinate %d out of range", v)
+		e.U32(uint32(c[d]))
+	}
+}
+
+func getCoord(d *codec.Dec) Coord {
+	var c Coord
+	for i := 0; i < 3; i++ {
+		v := d.U32()
+		if v >= maxCoordVal {
+			d.Fail("coordinate %d out of range", v)
 		}
-		c[d] = int(v)
+		c[i] = int(v)
 	}
 	return c
 }
@@ -311,21 +266,21 @@ func (r *planReader) coord() Coord {
 // rejecting truncation, trailing bytes, out-of-range fields and
 // non-canonical ordering.
 func UnmarshalFaultPlan(b []byte) (*FaultPlan, error) {
-	if len(b) < 4 || [4]byte(b[:4]) != faultPlanMagic {
+	d := codec.NewDec(b, binary.BigEndian, "torus: fault plan")
+	if !bytes.Equal(d.Raw(4), faultPlanMagic[:]) {
 		return nil, errors.New("torus: bad fault-plan magic")
 	}
-	r := &planReader{b: b, off: 4}
 	p := &FaultPlan{}
-	nl := r.u32()
-	if r.err == nil && nl > maxPlanEntries {
+	nl := d.U32()
+	if nl > maxPlanEntries {
 		return nil, fmt.Errorf("torus: fault plan claims %d link faults", nl)
 	}
-	for i := uint32(0); i < nl && r.err == nil; i++ {
-		lf := LinkFault{C: r.coord()}
-		dim := r.u8()
-		pos := r.u8()
-		lf.At = sim.Cycles(r.u64())
-		if r.err != nil {
+	for i := uint32(0); i < nl && d.Err() == nil; i++ {
+		lf := LinkFault{C: getCoord(d)}
+		dim := d.U8()
+		pos := d.U8()
+		lf.At = sim.Cycles(d.U64())
+		if d.Err() != nil {
 			break
 		}
 		if dim > 2 || pos > 1 {
@@ -340,13 +295,13 @@ func UnmarshalFaultPlan(b []byte) (*FaultPlan, error) {
 		}
 		p.Links = append(p.Links, lf)
 	}
-	nn := r.u32()
-	if r.err == nil && nn > maxPlanEntries {
+	nn := d.U32()
+	if nn > maxPlanEntries {
 		return nil, fmt.Errorf("torus: fault plan claims %d node faults", nn)
 	}
-	for i := uint32(0); i < nn && r.err == nil; i++ {
-		nf := NodeFault{C: r.coord(), At: sim.Cycles(r.u64())}
-		if r.err != nil {
+	for i := uint32(0); i < nn && d.Err() == nil; i++ {
+		nf := NodeFault{C: getCoord(d), At: sim.Cycles(d.U64())}
+		if d.Err() != nil {
 			break
 		}
 		if nf.At < 1 {
@@ -357,11 +312,8 @@ func UnmarshalFaultPlan(b []byte) (*FaultPlan, error) {
 		}
 		p.Nodes = append(p.Nodes, nf)
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(b) {
-		return nil, errors.New("torus: trailing bytes after fault plan")
+	if err := d.Finish(); err != nil {
+		return nil, err
 	}
 	return p, nil
 }

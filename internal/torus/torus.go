@@ -411,15 +411,11 @@ func (i *Interface) Put(dst Coord, src, dstRanges []PhysRange, onDone func(error
 	}
 	// Copy the bytes now (source buffer at injection time) and deliver at
 	// the modelled completion time.
-	data := make([]byte, 0, total)
-	buf := make([]byte, 0)
+	data := make([]byte, total)
+	off := uint64(0)
 	for _, r := range src {
-		if uint64(cap(buf)) < r.Len {
-			buf = make([]byte, r.Len)
-		}
-		b := buf[:r.Len]
-		i.chip.Mem.Read(r.PA, b)
-		data = append(data, b...)
+		i.chip.Mem.Read(r.PA, data[off:off+r.Len])
+		off += r.Len
 	}
 	descCost := sim.Cycles(uint64(len(src))) * i.net.cfg.PerDescriptor
 	i.Descriptors += uint64(len(src))

@@ -1,6 +1,7 @@
 package torus
 
 import (
+	"runtime"
 	"testing"
 
 	"bgcnk/internal/hw"
@@ -94,6 +95,36 @@ func TestPutScatterGather(t *testing.T) {
 	}
 	if a.Descriptors != 2 {
 		t.Fatalf("descriptors = %d, want 2 (one per source range)", a.Descriptors)
+	}
+}
+
+// TestPutCopiesPayloadOnce checks that Put reads each source range
+// straight into the one payload buffer it delivers, with no scratch copy.
+func TestPutCopiesPayloadOnce(t *testing.T) {
+	eng, a, b := twoNodeNet(t)
+	const n = 64 << 10
+	a.Chip().Mem.Write(0x1000, []byte("first range"))
+	a.Chip().Mem.Write(0x40000, []byte("second range"))
+	src := []PhysRange{{0x1000, n}, {0x40000, n}}
+	// The fewest bytes of three puts, so another goroutine allocating
+	// meanwhile cannot fail the test.
+	least := ^uint64(0)
+	for k := 0; k < 3; k++ {
+		dst := []PhysRange{{hw.PAddr(0x100000 + k*2*n), 2 * n}}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		a.Put(b.Coord(), src, dst, nil)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	eng.RunUntilIdle()
+	if least > 2*n+8<<10 {
+		t.Errorf("a %d-byte put allocated %d bytes", 2*n, least)
+	}
+	got := make([]byte, 12)
+	b.Chip().Mem.Read(0x100000+n, got)
+	if string(got) != "second range" {
+		t.Errorf("second range landed as %q", got)
 	}
 }
 

@@ -46,6 +46,16 @@ contracts() {
 # Fuzz seed-corpus regressions.
 fuzz seed-corpus regressions ; - ; ./internal/fs/ ./internal/ciod/ ./internal/ion/ ./internal/ctrlsys/ ./internal/ctrlsys/wal/ ./internal/ckpt/ ./internal/torus/ ./internal/obs/ ./internal/loader/ ; Fuzz
 
+# Wire formats: every format is written in internal/codec, whose decoder
+# keeps the first error, never reads past its input and never allocates
+# more than the input holds; each format's marshalled bytes stay pinned
+# to a SHA-256 of fully populated values; and the committed checkpoint
+# seed corpus keeps at least one seed that decodes under the current UPC
+# layout.
+wire formats ; - ; ./internal/codec/ ; TestRoundTripBothOrders|TestErrorIsStickyAndNamed|TestStrAndBlobRespectBounds|TestRawTakesHugeLengths|TestFinishRejectsTrailingBytes
+wire formats ; - ; ./internal/ckpt/ ./internal/ctrlsys/ ./internal/ctrlsys/wal/ ./internal/ciod/ ./internal/ion/ ./internal/torus/ ./internal/loader/ ; TestWireBytesPinned
+wire formats ; - ; ./internal/ckpt/ ; TestCommittedCorpusDecodes
+
 # RAS layer: per-class fault determinism and the recovery-under-fault
 # replay.
 fault matrix ; - ; ./internal/machine/ ; TestFaultMatrix|TestRecoveryUnderFaultDeterminism|TestFaultsOffChangesNothing|TestCIODRetryExhaustionSurfacesEIO|TestCIODCrashRecovery
