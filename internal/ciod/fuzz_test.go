@@ -66,7 +66,7 @@ func FuzzMarshal(f *testing.F) {
 			}
 		}
 		if names, err := DecodeNames(wire); err == nil {
-			e := newEnc()
+			e := newEnc(0)
 			e.U32(uint32(len(names)))
 			for _, n := range names {
 				e.Str(n)

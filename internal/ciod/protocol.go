@@ -93,13 +93,21 @@ type Transport interface {
 // --- wire marshalling (big-endian like the hardware; lengths are bounded
 // only by the bytes present, and trailing bytes are ignored) ---
 
-func newEnc() codec.Enc { return codec.Enc{Order: binary.BigEndian} }
+// newEnc returns an encoder into a buffer of exactly size bytes, so a
+// message marshals in one allocation.
+func newEnc(size int) codec.Enc {
+	return codec.Enc{B: make([]byte, 0, size), Order: binary.BigEndian}
+}
 
 func newDec(b []byte) *codec.Dec { return codec.NewDec(b, binary.BigEndian, "ciod: message") }
 
+// requestFixed is the byte length of a marshalled Request without its
+// path, second path and data bytes.
+const requestFixed = 1 + 6*4 + 8 + 2 + 8 + 4 + 8 + 3*4
+
 // MarshalRequest renders the request in wire format.
 func MarshalRequest(r *Request) []byte {
-	e := newEnc()
+	e := newEnc(requestFixed + len(r.Path) + len(r.Path2) + len(r.Data))
 	e.U8(r.Op)
 	e.U32(r.PID)
 	e.U32(r.TID)
@@ -130,9 +138,13 @@ func UnmarshalRequest(b []byte) (*Request, error) {
 	return r, d.Err()
 }
 
+// replyFixed is the byte length of a marshalled Reply without its string
+// and data bytes.
+const replyFixed = 8 + 4 + 2*4
+
 // MarshalReply renders a reply in wire format.
 func MarshalReply(r *Reply) []byte {
-	e := newEnc()
+	e := newEnc(replyFixed + len(r.Str) + len(r.Data))
 	e.U64(r.Ret)
 	e.U32(uint32(r.Errno))
 	e.Str(r.Str)
@@ -152,7 +164,7 @@ const StatWireSize = 8 + 1 + 2 + 4 + 4 + 8 + 4 + 8
 
 // MarshalStat encodes a Stat into reply data.
 func MarshalStat(st fs.Stat) []byte {
-	e := newEnc()
+	e := newEnc(StatWireSize)
 	e.U64(st.Ino)
 	e.U8(uint8(st.Type))
 	e.U16(uint16(st.Mode))

@@ -477,7 +477,11 @@ func (s *Server) execute(c *sim.Coro, p *ioproxy, r *Request) *Reply {
 		if errno != kernel.OK {
 			return &Reply{Errno: errno}
 		}
-		e := newEnc()
+		size := 4
+		for _, n := range names {
+			size += 4 + len(n)
+		}
+		e := newEnc(size)
 		e.U32(uint32(len(names)))
 		for _, n := range names {
 			e.Str(n)

@@ -35,3 +35,27 @@ func TestWireBytesPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestMarshalAllocs gates the function-shipping hot path: a 4 KB write
+// request, its reply and a stat each marshal into one buffer of exactly
+// the wire size, in one allocation.
+func TestMarshalAllocs(t *testing.T) {
+	req := &Request{Op: OpWrite, PID: 1, TID: 2, FD: 3, Size: 4096, Path: "/gpfs/out", Data: make([]byte, 4096)}
+	rep := &Reply{Ret: 4096, Str: "/cwd", Data: make([]byte, 4096)}
+	var st fs.Stat
+	for _, c := range []struct {
+		name    string
+		marshal func() []byte
+	}{
+		{"write request", func() []byte { return MarshalRequest(req) }},
+		{"reply", func() []byte { return MarshalReply(rep) }},
+		{"stat", func() []byte { return MarshalStat(st) }},
+	} {
+		if b := c.marshal(); len(b) != cap(b) {
+			t.Errorf("%s: %d bytes in a buffer of %d", c.name, len(b), cap(b))
+		}
+		if n := testing.AllocsPerRun(100, func() { c.marshal() }); n != 1 {
+			t.Errorf("%s: %v allocations per marshal, want 1", c.name, n)
+		}
+	}
+}

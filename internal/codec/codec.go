@@ -14,6 +14,7 @@ package codec
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 )
 
@@ -140,8 +141,21 @@ func (d *Dec) U64() uint64 {
 	return 0
 }
 
-// Bool decodes any nonzero byte as true.
-func (d *Dec) Bool() bool { return d.U8() != 0 }
+// ErrNotBool is wrapped by the error a decoder records when a boolean
+// field holds a byte other than 0 or 1: each value has exactly one
+// encoding, so an accepted input re-encodes to the bytes it came from.
+var ErrNotBool = errors.New("boolean byte is neither 0 nor 1")
+
+// Bool decodes 1 as true and 0 as false; any other byte fails the decoder
+// with an error that names the format and wraps ErrNotBool.
+func (d *Dec) Bool() bool {
+	off := d.off
+	v := d.U8()
+	if v > 1 && d.err == nil {
+		d.err = fmt.Errorf("%s: %w: %#x at offset %d", d.what, ErrNotBool, v, off)
+	}
+	return v == 1
+}
 
 // Str decodes a u32 length-prefixed string of at most max bytes.
 func (d *Dec) Str(max uint32) string {

@@ -3,6 +3,7 @@ package codec
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"runtime"
 	"strings"
@@ -165,5 +166,30 @@ func TestFinishRejectsTrailingBytes(t *testing.T) {
 	d.U8()
 	if err := d.Finish(); err != nil {
 		t.Errorf("Finish at end of input = %v", err)
+	}
+}
+
+func TestBoolIsStrict(t *testing.T) {
+	for _, b := range []byte{0, 1} {
+		d := NewDec([]byte{b}, binary.BigEndian, "flags")
+		if v := d.Bool(); v != (b == 1) || d.Finish() != nil {
+			t.Errorf("Bool(%#x) = %v, %v", b, v, d.Err())
+		}
+	}
+	for _, b := range []byte{2, 0x80, 0xff} {
+		d := NewDec([]byte{0, b, 1}, binary.BigEndian, "flags")
+		d.Bool()
+		if v := d.Bool(); v || !errors.Is(d.Err(), ErrNotBool) || !strings.Contains(d.Err().Error(), "flags") {
+			t.Errorf("Bool(%#x) = %v, %v; want false and a format-named ErrNotBool", b, v, d.Err())
+		}
+		// The error stays the first one.
+		if d.Bool(); !errors.Is(d.Finish(), ErrNotBool) {
+			t.Errorf("error after Bool(%#x) changed to %v", b, d.Err())
+		}
+	}
+	// A Bool past the end fails as truncation, not as ErrNotBool.
+	d := NewDec(nil, binary.BigEndian, "flags")
+	if d.Bool() || d.Err() == nil || errors.Is(d.Err(), ErrNotBool) {
+		t.Errorf("Bool over no input = %v", d.Err())
 	}
 }

@@ -2,12 +2,15 @@ package ctrlsys
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+
+	"bgcnk/internal/codec"
 )
 
 // fuzzSeedPersonalities are the hand-picked records seeded into the fuzz
@@ -127,4 +130,124 @@ func TestWritePersonalityCorpus(t *testing.T) {
 	write("seed_trunc_half", typical[:len(typical)/2])
 	write("seed_empty", []byte{})
 	write("seed_junk", []byte{0xff, 0xff, 0xff, 0xff})
+}
+
+// journalBodies pairs every journal body kind's decoder with its encoder:
+// remarshal decodes b and, if it is accepted, encodes the result again.
+var journalBodies = []struct {
+	name      string
+	remarshal func(b []byte) ([]byte, error)
+}{
+	{"job", func(b []byte) ([]byte, error) {
+		j, err := unmarshalJob(b)
+		return marshalJob(j), err
+	}},
+	{"id", func(b []byte) ([]byte, error) {
+		id, err := decodeID(b)
+		return idBody(id), err
+	}},
+	{"triple", func(b []byte) ([]byte, error) {
+		x, y, z, err := decodeTriple(b)
+		return tripleBody(x, y, z), err
+	}},
+	{"boot", func(b []byte) ([]byte, error) {
+		id, seed, err := decodeBoot(b)
+		return bootBody(id, seed), err
+	}},
+	{"job result", func(b []byte) ([]byte, error) {
+		r, err := unmarshalJobResult(b)
+		if err != nil {
+			return nil, err
+		}
+		return marshalJobResult(r), nil
+	}},
+	{"complete", func(b []byte) ([]byte, error) {
+		id, r, err := decodeComplete(b)
+		if err != nil {
+			return nil, err
+		}
+		return completeBody(id, r), nil
+	}},
+	{"resume", func(b []byte) ([]byte, error) {
+		rp, err := unmarshalResume(b)
+		if err != nil {
+			return nil, err
+		}
+		return marshalResume(rp), nil
+	}},
+	{"ckpt commit", func(b []byte) ([]byte, error) {
+		id, rp, err := decodeCkptCommit(b)
+		if err != nil {
+			return nil, err
+		}
+		return ckptCommitBody(id, rp), nil
+	}},
+}
+
+// pinnedJournalBodies returns one body per journal body kind, indexed like
+// journalBodies, built from the values TestWireBytesPinned pins.
+func pinnedJournalBodies() [][]byte {
+	res := pinnedJobResult()
+	rp := &resumePoint{res: *res, rasHash: 0x1122334455667788, next: 3, image: []byte("checkpoint image bytes")}
+	return [][]byte{
+		marshalJob(res.Job),
+		idBody(-3),
+		tripleBody(9, -1, 4),
+		bootBody(12, 0x0123456789abcdef),
+		marshalJobResult(res),
+		completeBody(41, res),
+		marshalResume(rp),
+		ckptCommitBody(41, rp),
+	}
+}
+
+// FuzzJournalBody decodes arbitrary bytes as the journal body kind the
+// first argument names. Its property: an accepted body is canonical — it
+// re-marshals to exactly the bytes that were accepted.
+func FuzzJournalBody(f *testing.F) {
+	for k, wire := range pinnedJournalBodies() {
+		f.Add(uint8(k), wire)
+		f.Add(uint8(k), wire[:len(wire)-1]) // truncated tail
+		f.Add(uint8(k), append(wire, 0))    // trailing byte
+	}
+	res := pinnedJobResult()
+	crash2 := marshalJobResult(res)
+	crash2[len(crash2)-1] = 2 // CrashAborted byte 2: refused, never re-marshalled as 1
+	f.Add(uint8(4), crash2)
+	f.Add(uint8(5), completeBody(41, &JobResult{}))
+	f.Add(uint8(7), ckptCommitBody(41, &resumePoint{res: *res}))
+	f.Add(uint8(0), []byte{})
+	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
+		b := journalBodies[int(kind)%len(journalBodies)]
+		wire, err := b.remarshal(data)
+		if err != nil {
+			return // rejection is fine; the property is about accepted inputs
+		}
+		if !bytes.Equal(wire, data) {
+			t.Fatalf("%s: accepted non-canonical body:\n in  %x\n out %x", b.name, data, wire)
+		}
+	})
+}
+
+// TestJobResultRejectsNonBooleanFlags: a job result whose BudgetExhausted
+// or CrashAborted byte is neither 0 nor 1 is refused with the typed codec
+// error, on its own and inside a complete record, instead of decoding as
+// true and re-marshalling to different bytes.
+func TestJobResultRejectsNonBooleanFlags(t *testing.T) {
+	good := marshalJobResult(pinnedJobResult())
+	for _, back := range []int{1, 2} { // CrashAborted, BudgetExhausted
+		for _, v := range []byte{2, 0xff} {
+			bad := append([]byte(nil), good...)
+			bad[len(bad)-back] = v
+			if _, err := unmarshalJobResult(bad); !errors.Is(err, codec.ErrNotBool) {
+				t.Errorf("flag byte -%d = %#x: err %v, want codec.ErrNotBool", back, v, err)
+			}
+			e := newEnc()
+			e.U32(41)
+			e.Blob(bad)
+			if _, _, err := decodeComplete(e.B); !errors.Is(err, codec.ErrNotBool) {
+				t.Errorf("complete record, flag byte -%d = %#x: err %v, want codec.ErrNotBool", back, v, err)
+			}
+		}
+	}
 }

@@ -73,12 +73,6 @@ type Config struct {
 	// unaggregated I/O path.
 	ION *ion.Config
 
-	// Sched selects the engine's event scheduler (default: the timer
-	// wheel). The heap reference stays selectable so the differential
-	// harness can replay full machine runs on both implementations and
-	// assert bit-identical traces, exit codes, counters and RAS logs.
-	Sched sim.SchedulerKind
-
 	// Faults, when non-nil and enabled, arms the machine-wide seeded
 	// fault injector: DDR ECC, TLB parity, link CRC, and CIOD failures
 	// all draw from per-node streams derived from Faults.Seed, so a
@@ -162,7 +156,7 @@ func New(cfg Config) (*Machine, error) {
 			return nil, fmt.Errorf("machine: %w", err)
 		}
 	}
-	m := &Machine{Eng: sim.NewEngineWith(sim.EngineConfig{Scheduler: cfg.Sched}), Cfg: cfg}
+	m := &Machine{Eng: sim.NewEngine(), Cfg: cfg}
 	if cfg.Obs != nil {
 		m.Obs = obs.New(*cfg.Obs)
 		if m.Obs.SampleEvery() > 0 {

@@ -11,29 +11,45 @@ import (
 	"bgcnk/internal/sim"
 )
 
-// The machine-level differential harness: a full fault-replay run —
-// boot, a memory sweep that draws seeded DDR/TLB/link/CIOD faults, the
-// LINPACK proxy, shutdown — executed once on the reference heap
-// scheduler and once on the timer wheel must agree on every externally
-// visible bit: trace hash, final cycle, exit codes, merged UPC
-// counters, and the RAS log (both its fold hash and its rendered
-// table). This is the substitution proof for the sim fast path at the
-// scale the experiments actually use, not just on synthetic workloads.
+// The machine-level differential: full machine runs on the one event
+// queue, with the engine's order check armed as the oracle. Step panics
+// unless every popped (at, seq) is strictly greater than the last, and the
+// queue may run dry only once every scheduled event was popped; a pop
+// sequence that passes both is exactly the order of the reference
+// (at, seq) heap (internal/sim's lockstep differential holds the wheel to
+// that heap op by op). These runs carry that proof to the scale the
+// experiments actually use: boot, seeded DDR/TLB/link/CIOD faults, the
+// LINPACK proxy and shutdown, on both kernels.
 
-type diffOutcome struct {
-	now      sim.Cycles
-	hash     uint64
-	traces   uint64
-	codes    string
-	counters string
-	rasHash  uint64
-	rasTable string
-	runErr   string
+// checkedRun runs fn and turns an engine order-check panic into a test
+// failure, so one broken pop fails its own subtest instead of the binary.
+func checkedRun(t *testing.T, m *Machine, fn func() error) error {
+	t.Helper()
+	var err error
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("engine order check at cycle %d: %v", m.Eng.Now(), r)
+			}
+		}()
+		err = fn()
+	}()
+	return err
 }
 
-// diffFaultReplay runs the faulty-LINPACK workload (modeled on the
-// stability-under-fault experiment) on the given scheduler.
-func diffFaultReplay(t *testing.T, kind KernelKind, sched sim.SchedulerKind, seed uint64) diffOutcome {
+// drainToIdle runs the engine until its queue is empty (so the dry-queue
+// check sees every scheduled event popped) and fails unless it is.
+func drainToIdle(t *testing.T, m *Machine) {
+	t.Helper()
+	checkedRun(t, m, func() error { m.Eng.RunUntilIdle(); return nil })
+	if n := m.Eng.Pending(); n != 0 {
+		t.Fatalf("%d events pending after the run drained", n)
+	}
+}
+
+// faultReplay runs the faulty-LINPACK workload (modeled on the
+// stability-under-fault experiment) and drains the queue to empty.
+func faultReplay(t *testing.T, kind KernelKind, seed uint64) {
 	t.Helper()
 	plan := &ras.Plan{
 		Seed:             seed,
@@ -47,91 +63,60 @@ func diffFaultReplay(t *testing.T, kind KernelKind, sched sim.SchedulerKind, see
 		Nodes: 4, Kind: kind, Seed: seed,
 		Reproducible: kind == KindCNK,
 		Faults:       plan,
-		Sched:        sched,
 	})
 	if err != nil {
-		t.Fatalf("%v machine: %v", sched, err)
+		t.Fatalf("machine: %v", err)
 	}
 	defer m.Shutdown()
-	runErr := m.Run(func(ctx kernel.Context, env *Env) {
-		base := m.HeapBase(ctx)
-		buf := make([]byte, 128)
-		for i := 0; i < 1500; i++ {
-			ctx.Load(base+hw.VAddr((i*4096)%(4<<20)), buf)
-		}
-		apps.Linpack(ctx, env.MPI, base, apps.LinpackConfig{Panels: 12, PanelCycles: 400_000, ExchangeB: 8 << 10})
-	}, kernel.JobParams{}, sim.FromSeconds(600))
-	out := diffOutcome{
-		now:      m.Eng.Now(),
-		hash:     m.Eng.Trace().Hash(),
-		traces:   m.Eng.Trace().Count(),
-		codes:    fmt.Sprint(m.ExitCodes()),
-		counters: m.MergedCounters().Text(),
-		rasHash:  m.RAS.Hash(),
-		rasTable: m.RAS.Table(),
-	}
-	if runErr != nil {
-		out.runErr = runErr.Error()
-	}
-	return out
+	checkedRun(t, m, func() error {
+		return m.Run(func(ctx kernel.Context, env *Env) {
+			base := m.HeapBase(ctx)
+			buf := make([]byte, 128)
+			for i := 0; i < 1500; i++ {
+				ctx.Load(base+hw.VAddr((i*4096)%(4<<20)), buf)
+			}
+			apps.Linpack(ctx, env.MPI, base, apps.LinpackConfig{Panels: 12, PanelCycles: 400_000, ExchangeB: 8 << 10})
+		}, kernel.JobParams{}, sim.FromSeconds(600))
+	})
+	drainToIdle(t, m)
 }
 
-// TestDifferentialMachineFaultReplay is the CI gate for scheduler
-// substitution on real machine runs: both kernels, multiple fault
-// seeds, heap vs wheel, bit-identical everywhere.
+// TestDifferentialMachineFaultReplay is the CI gate for the event
+// queue's order on real machine runs: both kernels, multiple fault
+// seeds, every pop checked.
 func TestDifferentialMachineFaultReplay(t *testing.T) {
 	for _, kind := range []KernelKind{KindCNK, KindFWK} {
 		for _, seed := range []uint64{7, 40, 1009} {
 			kind, seed := kind, seed
 			t.Run(fmt.Sprintf("%v/seed%d", kind, seed), func(t *testing.T) {
 				t.Parallel()
-				ref := diffFaultReplay(t, kind, sim.SchedHeap, seed)
-				got := diffFaultReplay(t, kind, sim.SchedWheel, seed)
-				if got.hash != ref.hash || got.now != ref.now || got.traces != ref.traces {
-					t.Fatalf("trace diverged: heap (hash %016x, now %d, n %d) vs wheel (hash %016x, now %d, n %d)",
-						ref.hash, ref.now, ref.traces, got.hash, got.now, got.traces)
-				}
-				if got.codes != ref.codes {
-					t.Fatalf("exit codes diverged: heap %s vs wheel %s", ref.codes, got.codes)
-				}
-				if got.runErr != ref.runErr {
-					t.Fatalf("run error diverged: heap %q vs wheel %q", ref.runErr, got.runErr)
-				}
-				if got.counters != ref.counters {
-					t.Fatalf("UPC counters diverged:\nheap:\n%s\nwheel:\n%s", ref.counters, got.counters)
-				}
-				if got.rasHash != ref.rasHash || got.rasTable != ref.rasTable {
-					t.Fatalf("RAS log diverged (heap hash %016x vs wheel %016x):\nheap:\n%s\nwheel:\n%s",
-						ref.rasHash, got.rasHash, ref.rasTable, got.rasTable)
-				}
+				faultReplay(t, kind, seed)
 			})
 		}
 	}
 }
 
 // TestDifferentialMachineCleanRun covers the no-fault path: a plain
-// reproducible CNK barrier/allreduce workload on both schedulers.
+// reproducible CNK barrier/allreduce workload, every rank exiting 0 and
+// the queue drained to empty under the order check.
 func TestDifferentialMachineCleanRun(t *testing.T) {
-	run := func(sched sim.SchedulerKind) (uint64, sim.Cycles, string) {
-		m, err := New(Config{Nodes: 4, Kind: KindCNK, Reproducible: true, Sched: sched})
-		if err != nil {
-			t.Fatalf("%v machine: %v", sched, err)
-		}
-		defer m.Shutdown()
-		if err := m.Run(func(ctx kernel.Context, env *Env) {
+	m, err := New(Config{Nodes: 4, Kind: KindCNK, Reproducible: true})
+	if err != nil {
+		t.Fatalf("machine: %v", err)
+	}
+	defer m.Shutdown()
+	if err := checkedRun(t, m, func() error {
+		return m.Run(func(ctx kernel.Context, env *Env) {
 			base := m.HeapBase(ctx)
 			apps.Linpack(ctx, env.MPI, base, apps.LinpackConfig{Panels: 8, PanelCycles: 200_000, ExchangeB: 4 << 10})
-		}, kernel.JobParams{}, sim.FromSeconds(600)); err != nil {
-			t.Fatalf("%v run: %v", sched, err)
+		}, kernel.JobParams{}, sim.FromSeconds(600))
+	}); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	for i, c := range m.ExitCodes() {
+		if c != 0 {
+			t.Fatalf("rank %d exited %d", i, c)
 		}
-		return m.Eng.Trace().Hash(), m.Eng.Now(), m.MergedCounters().Text()
 	}
-	h1, n1, c1 := run(sim.SchedHeap)
-	h2, n2, c2 := run(sim.SchedWheel)
-	if h1 != h2 || n1 != n2 {
-		t.Fatalf("clean run diverged: heap (hash %016x, now %d) vs wheel (hash %016x, now %d)", h1, n1, h2, n2)
-	}
-	if c1 != c2 {
-		t.Fatalf("clean-run counters diverged:\nheap:\n%s\nwheel:\n%s", c1, c2)
-	}
+	drainToIdle(t, m)
 }

@@ -2,75 +2,62 @@ package sim
 
 import "testing"
 
-// The scheduler micro-benchmarks drive both implementations through the
-// three shapes the machine model produces: raw scheduling, dense
-// same-window dispatch (barrier storms, packet bursts), and sparse
-// far-flung timers (daemon periods, checkpoint intervals).
-
-func benchBoth(b *testing.B, fn func(b *testing.B, kind SchedulerKind)) {
-	for _, kind := range []SchedulerKind{SchedHeap, SchedWheel} {
-		kind := kind
-		b.Run(kind.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			fn(b, kind)
-		})
-	}
-}
+// The event-queue micro-benchmarks drive the engine through the three
+// shapes the machine model produces: raw scheduling, dense same-window
+// dispatch (barrier storms, packet bursts), and sparse far-flung timers
+// (daemon periods, checkpoint intervals).
 
 // BenchmarkSchedule measures At() with a steady queue: each op schedules
 // one event into a standing population of pending events, draining
 // periodically so the queue neither empties nor grows without bound.
 func BenchmarkSchedule(b *testing.B) {
-	benchBoth(b, func(b *testing.B, kind SchedulerKind) {
-		e := NewEngineWith(EngineConfig{Scheduler: kind})
-		rng := NewRNG(1)
-		nop := func() {}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e.After(rng.Cycles(100_000), nop)
-			if e.Pending() >= 8192 {
-				e.Run(e.Now() + 50_000)
-			}
+	b.ReportAllocs()
+	e := NewEngine()
+	rng := NewRNG(1)
+	nop := func() {}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.After(rng.Cycles(100_000), nop)
+		if e.Pending() >= 8192 {
+			e.Run(e.Now() + 50_000)
 		}
-	})
+	}
 }
 
 // BenchmarkStepDense measures dispatch when events cluster: every event
 // reschedules itself 0-3 cycles out, so most steps hit the same-cycle
 // batch path.
 func BenchmarkStepDense(b *testing.B) {
-	benchBoth(b, func(b *testing.B, kind SchedulerKind) {
-		e := NewEngineWith(EngineConfig{Scheduler: kind})
-		rng := NewRNG(2)
-		var tick func()
-		tick = func() { e.After(rng.Cycles(4), tick) }
-		for i := 0; i < 512; i++ {
-			e.After(rng.Cycles(4), tick)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e.Step()
-		}
-	})
+	b.ReportAllocs()
+	e := NewEngine()
+	rng := NewRNG(2)
+	var tick func()
+	tick = func() { e.After(rng.Cycles(4), tick) }
+	for i := 0; i < 512; i++ {
+		e.After(rng.Cycles(4), tick)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
 }
 
 // BenchmarkStepSparse measures dispatch when events are scattered across
 // the timer range: every event reschedules itself up to a billion cycles
 // out, exercising the wheel's higher levels, cascades, and overflow.
 func BenchmarkStepSparse(b *testing.B) {
-	benchBoth(b, func(b *testing.B, kind SchedulerKind) {
-		e := NewEngineWith(EngineConfig{Scheduler: kind})
-		rng := NewRNG(3)
-		var tick func()
-		tick = func() { e.After(1+rng.Cycles(1_000_000_000), tick) }
-		for i := 0; i < 512; i++ {
-			e.After(1+rng.Cycles(1_000_000_000), tick)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e.Step()
-		}
-	})
+	b.ReportAllocs()
+	e := NewEngine()
+	rng := NewRNG(3)
+	var tick func()
+	tick = func() { e.After(1+rng.Cycles(1_000_000_000), tick) }
+	for i := 0; i < 512; i++ {
+		e.After(1+rng.Cycles(1_000_000_000), tick)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
 }
 
 // BenchmarkTraceRecord measures the trace hot path (the text hash);

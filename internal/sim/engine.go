@@ -18,27 +18,25 @@ type event struct {
 	reason WakeReason
 }
 
-// EngineConfig selects engine implementation details that must never
-// change observable behaviour: every configuration runs the same events
-// at the same cycles in the same order (the differential harness in
-// differential_test.go holds the implementations to that).
-type EngineConfig struct {
-	// Scheduler picks the pending-event queue: SchedWheel (default, the
-	// timer-wheel fast path) or SchedHeap (the reference binary heap).
-	Scheduler SchedulerKind
-}
-
 // Engine is a deterministic discrete-event simulator. All state mutation in
 // a simulation happens either inside event callbacks or inside coroutines
 // resumed by event callbacks; the engine guarantees that exactly one of
 // these runs at a time and that their order depends only on (time, schedule
 // order), never on the Go runtime scheduler.
+//
+// The engine checks that order itself, on every event: Step panics unless
+// the popped (at, seq) is strictly greater than the last one popped, and
+// the queue may run dry only once every scheduled event has been popped.
+// Every push carries a fresh seq at or after now, so a pop sequence that
+// passes both checks is exactly the order of a (at, seq) min-heap.
 type Engine struct {
-	now   Cycles
-	seq   uint64
-	sched scheduler
-	coros []*Coro // all coroutines ever started, for shutdown
-	trace *Trace
+	now    Cycles
+	seq    uint64 // events scheduled so far; the last one carries seq
+	popped uint64 // events popped so far: Pending is seq - popped
+	last   uint64 // seq of the last popped event, which ran at now
+	wheel  *wheelSched
+	coros  []*Coro // all coroutines ever started, for shutdown
+	trace  *Trace
 
 	// free recycles event structs: the simulation's hot path schedules
 	// millions of events, and pooling them leaves the per-schedule cost
@@ -60,24 +58,14 @@ type Engine struct {
 	advance func(prev, now Cycles)
 }
 
-// NewEngine returns an engine at cycle 0 with an empty event queue, using
-// the default (timer wheel) scheduler.
-func NewEngine() *Engine { return NewEngineWith(EngineConfig{}) }
-
 // wheelPool recycles the timer wheels of shut-down engines: a wheel is
 // 8 KB of bucket heads, and every drained job builds an engine. Shutdown
 // resets a wheel before it goes back, so a pooled wheel is a new one.
 var wheelPool = sync.Pool{New: func() any { return new(wheelSched) }}
 
-// NewEngineWith returns an engine configured by cfg.
-func NewEngineWith(cfg EngineConfig) *Engine {
-	e := &Engine{trace: NewTrace()}
-	if cfg.Scheduler == SchedHeap {
-		e.sched = &heapSched{}
-	} else {
-		e.sched = wheelPool.Get().(*wheelSched)
-	}
-	return e
+// NewEngine returns an engine at cycle 0 with an empty event queue.
+func NewEngine() *Engine {
+	return &Engine{trace: NewTrace(), wheel: wheelPool.Get().(*wheelSched)}
 }
 
 // Now returns the current simulation time.
@@ -91,7 +79,7 @@ func (e *Engine) Trace() *Trace { return e.trace }
 func (e *Engine) At(t Cycles, fn func()) {
 	ev := e.newEvent(t)
 	ev.fn = fn
-	e.sched.push(ev)
+	e.wheel.push(ev)
 }
 
 // atCoro schedules a resume of c at absolute cycle t under wake
@@ -99,7 +87,7 @@ func (e *Engine) At(t Cycles, fn func()) {
 func (e *Engine) atCoro(t Cycles, c *Coro, gen uint64, reason WakeReason) {
 	ev := e.newEvent(t)
 	ev.coro, ev.gen, ev.reason = c, gen, reason
-	e.sched.push(ev)
+	e.wheel.push(ev)
 }
 
 // newEvent takes an event from the free list, stamped with time t and
@@ -130,15 +118,22 @@ func (e *Engine) SetAdvanceHook(fn func(prev, now Cycles)) { e.advance = fn }
 
 // Step runs the next pending event. It reports false when the queue is
 // empty. A panic in the event, or in a coroutine it resumes, propagates
-// to the caller with the engine idle again.
+// to the caller with the engine idle again. Step panics if the queue
+// hands it an event out of (at, seq) order, or runs dry while events it
+// was given are still unpopped.
 func (e *Engine) Step() bool {
-	ev := e.sched.pop()
+	ev := e.wheel.pop()
 	if ev == nil {
+		if e.popped != e.seq {
+			panic(fmt.Sprintf("sim: event queue ran dry with %d of %d events unpopped", e.seq-e.popped, e.seq))
+		}
 		return false
 	}
-	if ev.at < e.now {
-		panic("sim: time went backwards")
+	if ev.at < e.now || ev.at == e.now && ev.seq <= e.last {
+		panic(fmt.Sprintf("sim: event queue popped (%d, %d) after (%d, %d)", ev.at, ev.seq, e.now, e.last))
 	}
+	e.popped++
+	e.last = ev.seq
 	if e.advance != nil && ev.at > e.now {
 		prev := e.now
 		e.now = ev.at
@@ -160,18 +155,22 @@ func (e *Engine) Step() bool {
 }
 
 // Run executes events until the queue is empty or the next event lies
-// beyond the limit. It returns the number of events executed.
+// beyond the limit. It returns the number of events executed. Run panics
+// if it stops with a pending event before now, or with the queue
+// reporting empty while events are still unpopped.
 func (e *Engine) Run(limit Cycles) int {
 	n := 0
 	for {
-		t, ok := e.sched.peek()
+		t, ok := e.wheel.peek()
 		if !ok || t > limit {
-			break
+			if ok && t < e.now || !ok && e.popped != e.seq {
+				panic(fmt.Sprintf("sim: Run stopped at %d with %d of %d events unpopped and the queue's earliest at %d", e.now, e.seq-e.popped, e.seq, t))
+			}
+			return n
 		}
 		e.Step()
 		n++
 	}
-	return n
 }
 
 // RunUntilIdle executes events until no events remain. Coroutines parked
@@ -186,18 +185,14 @@ func (e *Engine) RunUntilIdle() int {
 }
 
 // Pending reports the number of queued events: none once shut down.
-func (e *Engine) Pending() int {
-	if e.sched == nil {
-		return 0
-	}
-	return e.sched.len()
-}
+func (e *Engine) Pending() int { return int(e.seq - e.popped) }
 
 // Shutdown kills every live coroutine so their goroutines exit; one that
 // was never dispatched never runs. The engine's timer wheel goes back to
-// the pool and the engine keeps no scheduler: Pending reports zero, and
-// scheduling or stepping panics on the nil scheduler instead of touching
-// a wheel another engine may own. Calling Shutdown again is harmless.
+// the pool with its pending events dropped and the engine keeps no queue:
+// Pending reports zero, and scheduling or stepping panics on the nil wheel
+// instead of touching a wheel another engine may own. Calling Shutdown
+// again is harmless.
 //
 // Contract: Shutdown is only legal on an idle engine, from host code —
 // never from inside an event callback or coroutine. A coroutine cannot
@@ -213,10 +208,11 @@ func (e *Engine) Shutdown() {
 		c.kill()
 	}
 	e.coros = nil
-	if w, ok := e.sched.(*wheelSched); ok {
-		w.reset()
-		wheelPool.Put(w)
+	if e.wheel != nil {
+		e.wheel.reset()
+		wheelPool.Put(e.wheel)
 	}
-	e.sched = nil
+	e.wheel = nil
+	e.popped = e.seq
 	e.free = nil
 }

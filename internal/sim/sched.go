@@ -5,42 +5,8 @@ import (
 	"math/bits"
 )
 
-// SchedulerKind selects the Engine's pending-event queue implementation.
-type SchedulerKind int
-
-const (
-	// SchedWheel is the hierarchical timer wheel: O(1) scheduling and
-	// same-cycle dispatch. It is the default fast path.
-	SchedWheel SchedulerKind = iota
-	// SchedHeap is the original binary-heap scheduler, kept as the simple
-	// reference implementation the wheel is differentially tested against
-	// (see differential_test.go and scripts/ci.sh).
-	SchedHeap
-)
-
-func (k SchedulerKind) String() string {
-	if k == SchedHeap {
-		return "heap"
-	}
-	return "wheel"
-}
-
-// scheduler is the engine's pending-event queue. Implementations must pop
-// events in strictly nondecreasing (at, seq) order — the FIFO-within-a-
-// cycle ordering contract every simulation above relies on. The engine
-// guarantees pushes never schedule before the last popped time.
-type scheduler interface {
-	push(*event)
-	// pop removes and returns the earliest pending event (nil when empty).
-	pop() *event
-	// peek reports the earliest pending time without disturbing order.
-	peek() (Cycles, bool)
-	len() int
-}
-
-// ---------------------------------------------------------------------------
-// Reference scheduler: binary heap ordered by (at, seq).
-
+// eventHeap is a binary heap ordered by (at, seq): the timer wheel's
+// overflow queue for events beyond its horizon.
 type eventHeap []*event
 
 func (h eventHeap) Len() int { return len(h) }
@@ -61,28 +27,19 @@ func (h *eventHeap) Pop() any {
 	return ev
 }
 
-type heapSched struct{ h eventHeap }
+const (
+	wheelBits   = 8
+	wheelSlots  = 1 << wheelBits
+	wheelMask   = wheelSlots - 1
+	wheelLevels = 4
+	wheelWords  = wheelSlots / 64
+)
 
-func (s *heapSched) push(ev *event) { heap.Push(&s.h, ev) }
-
-func (s *heapSched) pop() *event {
-	if len(s.h) == 0 {
-		return nil
-	}
-	return heap.Pop(&s.h).(*event)
-}
-
-func (s *heapSched) peek() (Cycles, bool) {
-	if len(s.h) == 0 {
-		return 0, false
-	}
-	return s.h[0].at, true
-}
-
-func (s *heapSched) len() int { return len(s.h) }
-
-// ---------------------------------------------------------------------------
-// Fast scheduler: hierarchical timer wheel.
+// wheelSched is the engine's pending-event queue: a hierarchical timer
+// wheel that pops events in strictly increasing (at, seq) order, the
+// FIFO-within-a-cycle ordering contract every simulation above relies on.
+// The engine guarantees pushes never schedule before the last popped time,
+// and checks every pop against that contract (see Engine).
 //
 // Four levels of 256 slots give a 2^32-cycle (~5 simulated seconds)
 // lookahead horizon; events beyond it wait in a small overflow heap. An
@@ -92,24 +49,16 @@ func (s *heapSched) len() int { return len(s.h) }
 // occupancy bitmap per level and cascades one higher-level slot down when
 // the current 256-cycle window drains.
 //
-// Ordering argument (the part the differential harness proves): within
-// one level-0 slot all events share the exact same cycle, and every path
-// that adds to a bucket — direct push, or a cascade from the level above —
+// Ordering argument (the part the engine's order check enforces and the
+// lockstep differential against a reference heap tests): within one
+// level-0 slot all events share the exact same cycle, and every path that
+// adds to a bucket — direct push, or a cascade from the level above —
 // appends in nondecreasing seq order, because cascades happen exactly
 // when the wheel enters a window (before any same-time push can target
 // level 0) and a slot's list preserves insertion order. Overflow events
 // at a given cycle were necessarily scheduled earlier (when that cycle
 // was still beyond the horizon) than any wheel-resident event at the same
 // cycle, so draining overflow first at time ties preserves seq order too.
-
-const (
-	wheelBits   = 8
-	wheelSlots  = 1 << wheelBits
-	wheelMask   = wheelSlots - 1
-	wheelLevels = 4
-	wheelWords  = wheelSlots / 64
-)
-
 type wheelSched struct {
 	cur     Cycles // wheel time; equals the engine's now between pops
 	inWheel int    // events resident in the levels (excludes overflow)
@@ -120,8 +69,6 @@ type wheelSched struct {
 	occ   [wheelLevels][wheelWords]uint64
 	over  eventHeap // beyond-horizon events, ordered (at, seq)
 }
-
-func (w *wheelSched) len() int { return w.inWheel + len(w.over) }
 
 func (w *wheelSched) reset() { *w = wheelSched{} }
 

@@ -47,12 +47,17 @@ contracts() {
 fuzz seed-corpus regressions ; - ; ./internal/fs/ ./internal/ciod/ ./internal/ion/ ./internal/ctrlsys/ ./internal/ctrlsys/wal/ ./internal/ckpt/ ./internal/torus/ ./internal/obs/ ./internal/loader/ ; Fuzz
 
 # Wire formats: every format is written in internal/codec, whose decoder
-# keeps the first error, never reads past its input and never allocates
-# more than the input holds; each format's marshalled bytes stay pinned
-# to a SHA-256 of fully populated values; and the committed checkpoint
-# seed corpus keeps at least one seed that decodes under the current UPC
-# layout.
-wire formats ; - ; ./internal/codec/ ; TestRoundTripBothOrders|TestErrorIsStickyAndNamed|TestStrAndBlobRespectBounds|TestRawTakesHugeLengths|TestFinishRejectsTrailingBytes
+# keeps the first error, never reads past its input, never allocates more
+# than the input holds and refuses a boolean byte other than 0 or 1 (so a
+# journal body with a CrashAborted byte of 2 is a typed reject); each
+# format's marshalled bytes stay pinned to a SHA-256 of fully populated
+# values; a function-shipped request, reply and stat each marshal in one
+# allocation (counted without the race detector); and the committed
+# checkpoint seed corpus keeps at least one seed that decodes under the
+# current UPC layout.
+wire formats ; - ; ./internal/codec/ ; TestRoundTripBothOrders|TestErrorIsStickyAndNamed|TestStrAndBlobRespectBounds|TestRawTakesHugeLengths|TestFinishRejectsTrailingBytes|TestBoolIsStrict
+wire formats ; - ; ./internal/ctrlsys/ ; TestJobResultRejectsNonBooleanFlags
+wire formats ; - ; ./internal/ciod/ ; TestMarshalAllocs
 wire formats ; - ; ./internal/ckpt/ ./internal/ctrlsys/ ./internal/ctrlsys/wal/ ./internal/ciod/ ./internal/ion/ ./internal/torus/ ./internal/loader/ ; TestWireBytesPinned
 wire formats ; - ; ./internal/ckpt/ ; TestCommittedCorpusDecodes
 
@@ -124,14 +129,20 @@ fault-tolerant torus: fault matrix + nil-path + degrade golden ; - ; ./internal/
 fault-tolerant torus: fault matrix + nil-path + degrade golden ; - ; ./internal/torus/ ; TestRoutesMatchAllPairsReference|TestWiringCheckMatchesAllPairs|TestHealthyRoutesAreDimensionOrdered
 fault-tolerant torus: fault matrix + nil-path + degrade golden ; - ; ./internal/torus/ ; TestMidplaneRoutingCost
 
-# Sim fast path: the timer-wheel scheduler must replay seeded event
-# workloads AND full machine fault-replay runs bit-identically to the
-# reference heap, and the replica runner must merge bit-identical results
-# at 1, 2 and 8 workers, from the raw pool up through the rendered
-# experiment artifacts.
-sim fast path: heap-vs-wheel differential + replica worker invariance ; race ; ./internal/sim/ ./internal/machine/ ; TestDifferential
-sim fast path: heap-vs-wheel differential + replica worker invariance ; race ; ./internal/sim/replica/ ; TestReplicaWorkerInvariance
-sim fast path: heap-vs-wheel differential + replica worker invariance ; race ; ./internal/experiments/ ; TestRenderWorkerInvariance
+# Sim fast path: the engine has one event queue, the timer wheel, and
+# checks its own order on every event — Step panics unless each popped
+# (at, seq) is strictly greater than the last, an empty queue must have
+# popped every scheduled event, and Run may not stop with a pending event
+# before now. The wheel must replay seeded push/pop/peek scripts in
+# lockstep with a reference (at, seq) heap that lives only in the tests,
+# full machine fault-replay runs must pass the armed order check, a wheel
+# corrupted from inside must make the engine panic, and the replica runner
+# must merge bit-identical results at 1, 2 and 8 workers, from the raw
+# pool up through the rendered experiment artifacts.
+sim fast path: lockstep queue differential + order check + replica worker invariance ; race ; ./internal/sim/ ./internal/machine/ ; TestDifferential
+sim fast path: lockstep queue differential + order check + replica worker invariance ; race ; ./internal/sim/ ; TestOrderCheck
+sim fast path: lockstep queue differential + order check + replica worker invariance ; race ; ./internal/sim/replica/ ; TestReplicaWorkerInvariance
+sim fast path: lockstep queue differential + order check + replica worker invariance ; race ; ./internal/experiments/ ; TestRenderWorkerInvariance
 
 # Observability: arming the span/sampler layer must change NOTHING
 # (cycle-exact vs the unarmed machine, fault injector on), the armed
@@ -247,6 +258,7 @@ if [ "$FUZZTIME" != "0" ]; then
 	go test -fuzz=FuzzMarshal -fuzztime="$FUZZTIME" ./internal/ciod/
 	go test -fuzz=FuzzIONMux -fuzztime="$FUZZTIME" ./internal/ion/
 	go test -fuzz=FuzzPersonality -fuzztime="$FUZZTIME" ./internal/ctrlsys/
+	go test -fuzz=FuzzJournalBody -fuzztime="$FUZZTIME" ./internal/ctrlsys/
 	go test -fuzz=FuzzCheckpointImage -fuzztime="$FUZZTIME" ./internal/ckpt/
 	go test -fuzz=FuzzJournal -fuzztime="$FUZZTIME" ./internal/ctrlsys/wal/
 	go test -fuzz=FuzzFaultPlan -fuzztime="$FUZZTIME" ./internal/torus/
